@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import clickio, config as cfgmod, coupled, hbt, lindblad, specfit, trajectory
-from .errors import ConfigError, ConvergenceError, InsufficientStatisticsError
+from .errors import (ConfigError, ConvergenceError, InsufficientStatisticsError,
+                     PeakWindowError)
 from .units import HC_UEV_NM, HBAR_UEV_PS, q_factor, wavelength_to_energy
 
 EXIT_CONFIG = 2
@@ -134,10 +135,12 @@ def cmd_correlate(args) -> int:
 
     path = _out_path(args, "histogram.csv")
     clickio.write_histogram(path, hist)
-    if len(channels) == 2:
-        est = hbt.cross_g2_zero(hist, args.rep_period, n_side=args.n_side)
-    else:
-        est = hbt.pulsed_g2_zero(hist, args.rep_period, n_side=args.n_side)
+    estimate = hbt.cross_g2_zero if len(channels) == 2 else hbt.pulsed_g2_zero
+    try:
+        est = estimate(hist, args.rep_period, n_side=args.n_side)
+    except PeakWindowError as exc:
+        raise ConfigError(f"{exc}; widen --window or lower --n-side "
+                          f"or --rep-period") from None
     sys.stdout.write(clickio.format_report("g2", {
         "config_hash": streams[0].config_hash,
         "channels": args.channels,
@@ -299,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coupled quantum dot-cavity simulation and analysis")
     ap.add_argument("--seed", type=int, default=None,
                     help="override the config seed")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads (results are thread-count independent)")
     ap.add_argument("--out-dir", default=".", help="directory for output files")
     sub = ap.add_subparsers(dest="command", required=True)
 

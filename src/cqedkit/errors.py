@@ -9,6 +9,10 @@ class ConfigError(CqedError):
     """Invalid run configuration (schema violation, bad field value)."""
 
 
+class PeakWindowError(ConfigError, ValueError):
+    """Correlation window too short for the requested pulsed peak areas."""
+
+
 class ConvergenceError(CqedError):
     """A numerical routine failed to converge to its stated tolerance."""
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels
 from .errors import (InsufficientStatisticsError, MiscalibrationError,
-                     NoSignalError)
+                     NoSignalError, PeakWindowError)
 
 DEFAULT_BIN_WIDTH = 128.0
 DEFAULT_WINDOW_PERIODS = 13
@@ -93,10 +93,11 @@ def normalized_g2(h: CorrelationHistogram) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _peak_areas(h: CorrelationHistogram, rep_period: float, n_side: int):
-    if h.window < (n_side + 0.5) * rep_period:
-        raise ValueError(
+    needed = (n_side + 0.5) * rep_period
+    if h.window < needed:
+        raise PeakWindowError(
             f"window {h.window} ps too small for {n_side} side peaks "
-            f"at rep period {rep_period} ps")
+            f"at rep period {rep_period} ps (needs >= {needed} ps)")
     peak_idx = np.rint(h.tau / rep_period).astype(int)
     center = int(h.counts[peak_idx == 0].sum())
     side = [int(h.counts[peak_idx == k].sum())

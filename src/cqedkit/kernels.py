@@ -1,80 +1,46 @@
-"""Coincidence-counting kernel with compiled and numpy backends.
+"""All-pairs coincidence-counting kernel (numpy).
 
-The compiled Cython extension is preferred when built; a vectorized numpy
-implementation is the drop-in fallback.  `benchmarks/bench_correlate.py`
-compares the two.
+Two `searchsorted` bounds give each source time its partner range in the
+other stream; the kernel then walks all ranges together, one partner
+offset per step, binning the delays of the sources still inside their
+range.  There are as many steps as the largest partner count, and no
+step holds more than one delay per source.
 """
 import numpy as np
 
-try:
-    from ._fastcorr import pair_histogram as _pair_histogram_compiled
-except ImportError:  # extension not built
-    _pair_histogram_compiled = None
 
-#: which backend `pair_histogram` dispatches to
-BACKEND = "compiled" if _pair_histogram_compiled is not None else "numpy"
+def pair_histogram(a, b, window, bin_width, exclude_self=False):
+    """All-pairs delay histogram of t_b - t_a within +/- window.
 
-_CHUNK = 1_000_000
-
-
-def pair_histogram_numpy(a, b, window, bin_width, exclude_self=False):
-    """Numpy fallback for the all-pairs delay histogram.
-
-    Same contract as the compiled kernel: sorted inputs, bins centered on
-    multiples of bin_width, n_half = round(window/bin_width) per side.
+    Inputs must be sorted ascending.  Bins are centered on multiples of
+    bin_width: n_half = round(window / bin_width) bins each side plus the
+    zero bin.  With exclude_self, the len(a) self pairs are removed from
+    the zero bin (use for autocorrelation, where a and b are one array).
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
+    if bin_width <= 0 or window <= 0:
+        raise ValueError("window and bin_width must be positive")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     n_half = int(round(window / bin_width))
     edge = (n_half + 0.5) * bin_width
     n_bins = 2 * n_half + 1
     counts = np.zeros(n_bins, dtype=np.int64)
     lo = np.searchsorted(b, a - edge, side="left")
     hi = np.searchsorted(b, a + edge, side="left")
-    spans = hi - lo
-    # gather partner indices chunk-wise: for source i, partners b[lo_i:hi_i]
-    start = 0
-    csum = np.concatenate(([0], np.cumsum(spans)))
-    total = csum[-1]
-    while start < len(a):
-        stop = np.searchsorted(csum, csum[start] + _CHUNK, side="left")
-        stop = max(int(stop), start + 1)
-        stop = min(stop, len(a))
-        sel = slice(start, stop)
-        m = csum[stop] - csum[start]
-        if m > 0:
-            rep = np.repeat(np.arange(start, stop), spans[sel])
-            offs = np.arange(m) - np.repeat(csum[sel] - csum[start], spans[sel])
-            deltas = b[lo[rep] + offs] - a[rep]
-            k = ((deltas + edge) / bin_width).astype(np.int64)
-            np.clip(k, 0, n_bins - 1, out=k)
-            counts += np.bincount(k, minlength=n_bins)
-        start = stop
+    # shortest range first: at step s the sources still inside their
+    # range are the suffix with span > s
+    span = hi - lo
+    order = np.argsort(span)
+    t, lo, span = a[order], lo[order], span[order]
+    for s in range(span.max(initial=0)):
+        i = np.searchsorted(span, s, side="right")
+        k = ((b[lo[i:] + s] - t[i:] + edge) / bin_width).astype(np.int64)
+        np.clip(k, 0, n_bins - 1, out=k)
+        counts += np.bincount(k, minlength=n_bins)
     if exclude_self:
         # self pairs land exactly in the zero-delay bin
         counts[n_half] -= len(a)
     return counts
-
-
-def pair_histogram(a, b, window, bin_width, exclude_self=False, backend=None):
-    """All-pairs delay histogram of t_b - t_a within +/- window.
-
-    backend: None (auto), "compiled" or "numpy".
-    """
-    if bin_width <= 0 or window <= 0:
-        raise ValueError("window and bin_width must be positive")
-    if backend is None:
-        backend = BACKEND
-    if backend == "compiled":
-        if _pair_histogram_compiled is None:
-            raise RuntimeError("compiled kernel not available")
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        return _pair_histogram_compiled(a, b, float(window), float(bin_width),
-                                        bool(exclude_self))
-    if backend == "numpy":
-        return pair_histogram_numpy(a, b, window, bin_width, exclude_self)
-    raise ValueError(f"unknown backend {backend!r}")
 
 
 def bin_centers(window, bin_width):

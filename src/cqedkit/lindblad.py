@@ -152,7 +152,11 @@ def liouvillian(model: LindbladModel, ops: Operators) -> np.ndarray:
 
 
 class _Propagator:
-    """Eigendecomposition of the Liouvillian, cached per (model, cutoff)."""
+    """Eigendecomposition of one (model, cutoff) Liouvillian.
+
+    Not cached: each public function builds its own and passes it to the
+    helpers it calls.
+    """
 
     def __init__(self, model: LindbladModel, n_max: int):
         self.ops = Operators(n_max)
@@ -206,7 +210,10 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_grid,
 
 def steady_state(model: LindbladModel, n_max: int = 2) -> np.ndarray:
     """Steady density matrix (needs a pump so the state is not trivial)."""
-    prop = _Propagator(model, n_max)
+    return _steady_state(_Propagator(model, n_max))
+
+
+def _steady_state(prop: _Propagator) -> np.ndarray:
     idx = np.argmin(np.abs(prop.evals))
     if abs(prop.evals[idx]) > 1e-8:
         raise ConvergenceError("no stationary Liouvillian mode found")
@@ -251,7 +258,7 @@ def cw_g2(model: LindbladModel, tau_grid, channel: str = "C",
     prop = _Propagator(model, n_max)
     ops = prop.ops
     c = _channel_operator(ops, channel)
-    rho_ss = steady_state(model, n_max)
+    rho_ss = _steady_state(prop)
     flux = np.trace(c.conj().T @ c @ rho_ss).real
     if flux <= 0:
         raise ConvergenceError("steady-state channel flux vanished")

@@ -19,7 +19,7 @@ def brute_force(a, b, window, bin_width, exclude_self):
 
 
 @pytest.mark.parametrize("exclude_self", [False, True])
-def test_numpy_backend_matches_brute_force(exclude_self):
+def test_pair_histogram_matches_brute_force(exclude_self):
     rng = np.random.default_rng(0)
     for _ in range(10):
         a = np.sort(rng.uniform(0, 1000.0, rng.integers(1, 80)))
@@ -28,33 +28,21 @@ def test_numpy_backend_matches_brute_force(exclude_self):
         window = rng.uniform(50.0, 400.0)
         bin_width = rng.uniform(5.0, 60.0)
         got = kernels.pair_histogram(a, b, window, bin_width,
-                                     exclude_self=exclude_self,
-                                     backend="numpy")
+                                     exclude_self=exclude_self)
         assert np.array_equal(
             got, brute_force(a, b, window, bin_width, exclude_self))
 
 
-@pytest.mark.skipif(kernels.BACKEND != "compiled",
-                    reason="compiled extension not built")
-def test_compiled_backend_matches_numpy():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a = np.sort(rng.uniform(0, 1e5, rng.integers(1, 3000)))
-        b = np.sort(rng.uniform(0, 1e5, rng.integers(1, 3000)))
-        window, bin_width = 5000.0, 130.0
-        # exclude_self is only defined for autocorrelation (a is b)
-        for pair, excl in (((a, b), False), ((a, a), False), ((a, a), True)):
-            c = kernels.pair_histogram(*pair, window, bin_width,
-                                       exclude_self=excl, backend="compiled")
-            n = kernels.pair_histogram(*pair, window, bin_width,
-                                       exclude_self=excl, backend="numpy")
-            assert np.array_equal(c, n)
-
-
-def test_default_backend_is_compiled_when_built():
-    # the packaged build ships the extension; the fallback stays importable
-    assert kernels.BACKEND in ("compiled", "numpy")
-    assert kernels.pair_histogram_numpy is not None
+def test_empty_and_duplicate_times_match_brute_force():
+    # grid times put delays on bin edges and many partners on one time
+    rng = np.random.default_rng(3)
+    grid = np.sort(rng.integers(0, 12, 40) * 25.0)
+    empty = np.empty(0)
+    for a, b, excl in ((grid, grid, True), (grid, grid[::3], False),
+                       (empty, grid, False), (grid, empty, False),
+                       (empty, empty, True)):
+        got = kernels.pair_histogram(a, b, 100.0, 25.0, exclude_self=excl)
+        assert np.array_equal(got, brute_force(a, b, 100.0, 25.0, excl))
 
 
 def test_exclude_self_removes_exactly_n_zero_delay_pairs():
@@ -82,5 +70,3 @@ def test_invalid_arguments():
         kernels.pair_histogram(t, t, -1.0, 10.0)
     with pytest.raises(ValueError):
         kernels.pair_histogram(t, t, 100.0, 0.0)
-    with pytest.raises(ValueError):
-        kernels.pair_histogram(t, t, 100.0, 10.0, backend="fortran")
