@@ -133,14 +133,15 @@ def cmd_correlate(args) -> int:
             hist, (d_rate, d_rate),
             (hist.n_a / dur + d_rate, hist.n_b / dur + d_rate))
 
-    path = _out_path(args, "histogram.csv")
-    clickio.write_histogram(path, hist)
+    # estimate first, so that a failed estimate leaves no histogram behind
     estimate = hbt.cross_g2_zero if len(channels) == 2 else hbt.pulsed_g2_zero
     try:
         est = estimate(hist, args.rep_period, n_side=args.n_side)
     except PeakWindowError as exc:
         raise ConfigError(f"{exc}; widen --window or lower --n-side "
                           f"or --rep-period") from None
+    path = _out_path(args, "histogram.csv")
+    clickio.write_histogram(path, hist)
     sys.stdout.write(clickio.format_report("g2", {
         "config_hash": streams[0].config_hash,
         "channels": args.channels,

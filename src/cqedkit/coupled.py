@@ -13,6 +13,7 @@ whose eigenvalues are the complex mode energies
 with Delta = E_x - E_c.  Decaying modes carry negative imaginary part and
 the FWHM of branch k is 2*|Im E_k|.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,17 +112,20 @@ def _label(exciton_weight: float) -> str:
     return "mixed"
 
 
-def _exciton_weights(p: SystemParams, values: np.ndarray) -> np.ndarray:
+def _exciton_weights(p: SystemParams, values) -> list[float]:
     """|exciton component|^2 of the normalized eigenvector of each value."""
-    weights = np.empty(len(values))
-    for i, lam in enumerate(values):
+    weights = []
+    for lam in values:
         # (M - lam) v = 0  =>  v ~ (g, lam - M00) up to normalization
-        v = np.array([p.g, lam - (p.e_x - 0.5j * p.gamma_x)], dtype=complex)
-        if np.allclose(v, 0):  # g = 0 and lam hits the exciton entry
-            weights[i] = 1.0
+        v0 = complex(p.g)
+        v1 = complex(lam) - (p.e_x - 0.5j * p.gamma_x)
+        if abs(v0) <= 1e-8 and abs(v1) <= 1e-8:  # g = 0 and lam hits M00
+            weights.append(1.0)
         else:
-            v /= np.linalg.norm(v)
-            weights[i] = abs(v[0]) ** 2
+            # np.linalg.norm's sum order, and numpy's complex division
+            norm = math.sqrt(v0.real * v0.real + v1.real * v1.real
+                             + (v0.imag * v0.imag + v1.imag * v1.imag))
+            weights.append(abs(v0 * (1.0 / norm)) ** 2)
     return weights
 
 
@@ -130,7 +134,7 @@ def eigen_energies(p: SystemParams) -> EigenPair:
     e1, e2 = _eigenvalues(p)
     if e1.real < e2.real:
         e1, e2 = e2, e1
-    w = _exciton_weights(p, np.array([e1, e2]))
+    w = _exciton_weights(p, (e1, e2))
     return EigenPair(e1, e2, _label(w[0]), _label(w[1]))
 
 
@@ -167,7 +171,7 @@ def branch_linewidths(p: SystemParams) -> tuple[float, float]:
 def _exciton_branch(p: SystemParams) -> complex:
     """The mode energy whose eigenvector has the larger exciton weight."""
     e1, e2 = _eigenvalues(p)
-    w = _exciton_weights(p, np.array([e1, e2]))
+    w = _exciton_weights(p, (e1, e2))
     if abs(w[0] - w[1]) < 1e-12:
         raise DegenerateBranchesError(
             "branches degenerate in character; exciton branch undefined at resonance")

@@ -117,9 +117,19 @@ class SingleExcitationPropagator:
 
     def amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, beta) exciton/photon amplitudes at times t from |e,0>."""
-        phase = np.exp(-1j * np.outer(t, self.evals) / HBAR_UEV_PS)
-        amp = phase * self.coeff0[None, :] @ self.evecs.T
-        return amp[:, 0], amp[:, 1]
+        # coeff0_k * exp(-i E_k t / hbar), one row per eigenmode, in place
+        p = np.outer(self.evals, t)
+        p *= -1j
+        p /= HBAR_UEV_PS
+        np.exp(p, out=p)
+        p *= self.coeff0[:, None]
+        # the 2x2 product by hand: an (n,2)@(2,2) matmul goes to threaded BLAS
+        v = self.evecs
+        alpha = p[0] * v[0, 0]
+        alpha += p[1] * v[0, 1]
+        beta = p[0] * v[1, 0]
+        beta += p[1] * v[1, 1]
+        return alpha, beta
 
     def survival(self, t: np.ndarray) -> np.ndarray:
         alpha, beta = self.amplitudes(t)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cqedkit
 from cqedkit import cli, clickio, config, coupled, specfit
 from cqedkit.units import HC_UEV_NM, wavelength_to_energy
 
@@ -97,6 +101,7 @@ def test_correlate_insufficient_statistics(tmp_path, capsys):
                        str(tmp_path / "tiny.csv"))
     assert code == cli.EXIT_STATISTICS
     assert "side peak" in err
+    assert not (tmp_path / "histogram.csv").exists()
 
 
 def test_correlate_window_too_small_is_config_error(tmp_path, capsys):
@@ -109,6 +114,16 @@ def test_correlate_window_too_small_is_config_error(tmp_path, capsys):
     assert err.startswith("error: window 2000.0 ps")
     assert err.count("\n") == 1
     assert "--n-side" in err and "--rep-period" in err
+    assert not (tmp_path / "histogram.csv").exists()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = os.path.dirname(os.path.dirname(cqedkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, cqedkit.cli; "
+            "sys.exit('scipy.signal' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_invalid_config_file_exit_code(tmp_path, capsys):

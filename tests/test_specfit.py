@@ -8,7 +8,7 @@ from cqedkit.specfit import (LorentzianParams, MeasuredAnticrossing, Spectrum,
                              double_lorentzian_jacobian, fit_double_lorentzian,
                              fit_series, initial_guess, lorentzian,
                              temperature_tuning)
-from cqedkit.units import (HBAR_UEV_PS, energy_to_wavelength,
+from cqedkit.units import (HBAR_UEV_PS, HC_UEV_NM, energy_to_wavelength,
                            local_energy_per_nm, wavelength_to_energy)
 
 GX = HBAR_UEV_PS / 700.0
@@ -17,6 +17,26 @@ TRUE = np.array([1.0, 936.1, 0.030, 0.6, 936.55, 0.055, 0.02])
 
 def grid(n=201, lo=935.8, hi=936.9):
     return np.linspace(lo, hi, n)
+
+
+def acceptance6_spectra(seed):
+    """The noisy temperature series of acceptance criterion 6."""
+    temps = np.concatenate([np.arange(6.0, 8.01, 1.0),
+                            np.arange(8.5, 12.51, 0.5),
+                            np.arange(13.0, 16.01, 1.0)])
+    rng = np.random.default_rng(seed)
+    spectra = []
+    for t in temps:
+        lam_x, lam_c = temperature_tuning(float(t))
+        pt = coupled.SystemParams(wavelength_to_energy(lam_x),
+                                  wavelength_to_energy(lam_c), GX, 85.0, 35.0)
+        pair = coupled.eigen_energies(pt)
+        mid = HC_UEV_NM / (0.5 * (pair.upper.real + pair.lower.real))
+        lam = mid + np.arange(-30, 31) * 0.03
+        clean = coupled.model_spectrum(pt, lam).intensity
+        y = np.maximum(clean * (1 + 0.05 * rng.standard_normal(lam.size)), 0.0)
+        spectra.append(Spectrum(lam, y, temperature=float(t)))
+    return spectra
 
 
 def test_lorentzian_shape_properties():
@@ -81,6 +101,51 @@ def test_initial_guess_two_peaks_and_merged_fallback():
     assert seed[1] < 936.3 < seed[4]
     with pytest.raises(NoSignalError):
         initial_guess(Spectrum(lam, np.full_like(lam, 3.0)))
+
+
+def test_find_peaks_matches_scipy():
+    from scipy.signal import find_peaks as scipy_find_peaks
+
+    def same(x, prominence):
+        idx, prom = specfit.find_peaks(x, prominence=prominence)
+        ref, props = scipy_find_peaks(x, prominence=prominence)
+        assert np.array_equal(idx, ref)
+        assert np.array_equal(prom, props["prominences"])
+
+    for seed in range(100):
+        for s in acceptance6_spectra(seed):
+            y = s.intensity
+            span = y.max() - y.min()
+            same(y, 0.05 * span)
+            same(np.convolve(y, np.ones(5) / 5.0, mode="same"), 0.05 * span)
+    rng = np.random.default_rng(0)
+    for n in range(1, 40):
+        for _ in range(20):
+            same(rng.standard_normal(n), rng.uniform(0.0, 2.0))
+            # integer levels make plateaus, also at the ends
+            same(rng.integers(0, 4, n).astype(float), rng.integers(0, 3))
+    same(np.array([0.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0]), 0.0)
+
+
+def test_far_detuned_fit_stops_at_width_floor(monkeypatch):
+    # acceptance 6, seed 10, 6.0 and 7.0 K: at 7.0 K the exciton line is
+    # narrower than the 0.03 nm grid, and the fit used to trade width for
+    # area until it hit the evaluation cap
+    spectra = acceptance6_spectra(10)[:2]
+    lam = spectra[1].wavelength_nm
+    calls = []
+
+    def counted(x, params):
+        calls.append(x is lam)
+        return double_lorentzian(x, params)
+
+    monkeypatch.setattr(specfit, "double_lorentzian", counted)
+    (_, _), (t, fit) = fit_series(spectra, noise_fraction=0.05)
+    assert t == 7.0
+    assert fit.converged
+    floor = np.min(np.diff(lam)) / 50.0
+    assert min(p.fwhm for p in fit.peaks) == pytest.approx(floor, rel=1e-6)
+    assert sum(calls) < 150
 
 
 def test_noisy_splitting_recovery_statistics():
