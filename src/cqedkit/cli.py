@@ -6,8 +6,8 @@ correlate (histograms and g2 estimates), fit (spectral fitting and
 coupling extraction), demo-paper (end-to-end reproduction of the
 headline numbers).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical
-non-convergence, 4 insufficient statistics.
+Exit codes: 0 success, 2 configuration error or unreadable file, 3
+numerical non-convergence, 4 insufficient statistics.
 """
 import argparse
 import os
@@ -18,7 +18,7 @@ import numpy as np
 from . import clickio, config as cfgmod, coupled, hbt, lindblad, specfit, trajectory
 from .errors import (ConfigError, ConvergenceError, InsufficientStatisticsError,
                      PeakWindowError)
-from .units import HC_UEV_NM, HBAR_UEV_PS, q_factor, wavelength_to_energy
+from .units import HC_UEV_NM, q_factor, wavelength_to_energy
 
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
@@ -71,14 +71,8 @@ def cmd_sweep(args) -> int:
     temps = np.arange(args.t_min, args.t_max + 1e-9, args.t_step)
     rows = []
     for t in temps:
-        lam_x, lam_c = specfit.temperature_tuning(float(t), calib)
-        pt = coupled.SystemParams(wavelength_to_energy(lam_x),
-                                  wavelength_to_energy(lam_c),
-                                  p.gamma_x, p.gamma_c, p.g)
-        pair = coupled.eigen_energies(pt)
-        hi, lo = ((pair.upper, pair.lower)
-                  if pair.upper.real >= pair.lower.real
-                  else (pair.lower, pair.upper))
+        pair = coupled.eigen_energies(specfit.tuned_system(p, float(t), calib))
+        hi, lo = pair.upper, pair.lower
         rows.append((float(t), float(HC_UEV_NM / hi.real),
                      float(HC_UEV_NM / lo.real),
                      float(2 * abs(hi.imag)), float(2 * abs(lo.imag))))
@@ -110,19 +104,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _histogram(streams, channels, window, bin_width):
+    """Auto- (one channel) or cross-correlation (two), summed over streams."""
+    hist = None
+    for stream in streams:
+        times_a = stream.filter(channels[0])
+        times_b = stream.filter(channels[1]) if len(channels) == 2 else None
+        h = hbt.correlate(times_a, times_b, window=window,
+                          bin_width=bin_width, duration=stream.duration)
+        hist = h if hist is None else hist.merged_with(h)
+    return hist
+
+
 def cmd_correlate(args) -> int:
     streams = [clickio.read_click_stream(f) for f in args.files]
     channels = args.channels.split(",")
     if len(channels) not in (1, 2):
         raise ConfigError("--channels takes one or two channel names")
 
-    hist = None
-    for stream in streams:
-        times_a = stream.filter(channels[0])
-        times_b = stream.filter(channels[1]) if len(channels) == 2 else None
-        h = hbt.correlate(times_a, times_b, window=args.window,
-                          bin_width=args.bin, duration=stream.duration)
-        hist = h if hist is None else hist.merged_with(h)
+    hist = _histogram(streams, channels, args.window, args.bin)
 
     if args.dark_subtract:
         dur = sum(s.duration for s in streams)
@@ -187,14 +187,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _g2_from_stream(stream, channels, rep, bin_width, window, n_side):
-    times_a = stream.filter(channels[0])
-    times_b = stream.filter(channels[1]) if len(channels) == 2 else None
-    h = hbt.correlate(times_a, times_b, window=window, bin_width=bin_width,
-                      duration=stream.duration)
-    return hbt.pulsed_g2_zero(h, rep, n_side=n_side)
-
-
 def cmd_demo_paper(args) -> int:
     rows = []  # (name, computed, target midpoint, tolerance)
 
@@ -218,27 +210,14 @@ def cmd_demo_paper(args) -> int:
               coupled.exciton_branch_lifetime(p.at_detuning(delta)), 620.0, 70.0)
         check("inferred bare lifetime (ps)",
               coupled.infer_bare_lifetime(620.0, delta, p.g, p.gamma_c),
-              700.0, 80.0)
+              702.5, 7.5)
 
         stage = "spectral extraction"
-        calib = specfit.TuningCalibration()
-        rng = np.random.default_rng(cfg["seed"])
         temps = np.concatenate([np.arange(6, 8.6, 0.5),
                                 np.arange(9, 12.01, 0.25),
                                 np.arange(12.5, 16.01, 0.5)])
-        spectra = []
-        for t in temps:
-            lam_x, lam_c = specfit.temperature_tuning(float(t), calib)
-            pt = coupled.SystemParams(wavelength_to_energy(lam_x),
-                                      wavelength_to_energy(lam_c),
-                                      p.gamma_x, p.gamma_c, p.g)
-            pair = coupled.eigen_energies(pt)
-            mid = HC_UEV_NM / (0.5 * (pair.upper.real + pair.lower.real))
-            grid = mid + np.arange(-30, 31) * 0.03
-            s = coupled.model_spectrum(pt, grid)
-            noisy = np.maximum(
-                s.intensity * (1 + 0.05 * rng.standard_normal(grid.size)), 0.0)
-            spectra.append(specfit.Spectrum(grid, noisy, temperature=float(t)))
+        spectra = specfit.synthetic_anticrossing(
+            p, temps, np.random.default_rng(cfg["seed"]))
         ext = specfit.extract_coupling(specfit.assemble_anticrossing(
             specfit.fit_series(spectra, noise_fraction=0.05)))
         check("fitted coupling g (ueV)", ext.g, 35.0, 0.05 * 35.0)
@@ -247,7 +226,13 @@ def cmd_demo_paper(args) -> int:
 
         stage = "photon statistics"
         rep = cfgmod.REP_PERIOD_PS
-        window, bin_w, n_side = 6.5 * rep, 130.0, 6
+        ana = cfgmod.analysis_params(cfg)
+
+        def g2(stream, channels):
+            h = _histogram([stream], channels, ana["window_ps"],
+                           ana["bin_width_ps"])
+            return hbt.pulsed_g2_zero(h, rep, n_side=ana["n_side"]).value
+
         n_pulses = args.pulses
         det_cfg = cfgmod.validate_config(cfgmod.FIG4_DETUNED_CONFIG)
         res_cfg = cfgmod.validate_config(cfgmod.FIG4_RESONANT_CONFIG)
@@ -261,18 +246,10 @@ def cmd_demo_paper(args) -> int:
         rates = trajectory.channel_rates(det_stream)
         check("cavity:exciton flux ratio (detuned)",
               rates["C"][0] / rates["X"][0], 3.5, 0.3)
-        check("g2(0) resonant, cavity channel",
-              _g2_from_stream(res_stream, "C", rep, bin_w, window, n_side).value,
-              0.18, 0.08)
-        check("g2(0) detuned, exciton channel",
-              _g2_from_stream(det_stream, "X", rep, bin_w, window, n_side).value,
-              0.19, 0.08)
-        check("g2(0) detuned, cavity channel",
-              _g2_from_stream(det_stream, "C", rep, bin_w, window, n_side).value,
-              0.39, 0.08)
-        check("g2(0) detuned, cross X-C",
-              _g2_from_stream(det_stream, "XC", rep, bin_w, window, n_side).value,
-              0.22, 0.08)
+        check("g2(0) resonant, cavity channel", g2(res_stream, "C"), 0.18, 0.08)
+        check("g2(0) detuned, exciton channel", g2(det_stream, "X"), 0.19, 0.08)
+        check("g2(0) detuned, cavity channel", g2(det_stream, "C"), 0.39, 0.08)
+        check("g2(0) detuned, cross X-C", g2(det_stream, "XC"), 0.22, 0.08)
 
         stage = "continuous-wave correlation"
         model = cfgmod.build_model(cfg).with_rates(pump_x=1e-4)
@@ -336,11 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("files", nargs="+", help="click stream files")
     sp.add_argument("--channels", default="C",
                     help="one channel (auto) or two comma-separated (cross)")
-    sp.add_argument("--bin", type=float, default=130.0, help="bin width, ps")
-    sp.add_argument("--window", type=float, default=84500.0,
+    ana = cfgmod.analysis_params(cfgmod.DEFAULT_CONFIG)
+    sp.add_argument("--bin", type=float, default=ana["bin_width_ps"],
+                    help="bin width, ps")
+    sp.add_argument("--window", type=float, default=ana["window_ps"],
                     help="correlation window, ps")
-    sp.add_argument("--rep-period", type=float, default=13000.0)
-    sp.add_argument("--n-side", type=int, default=6)
+    sp.add_argument("--rep-period", type=float, default=cfgmod.REP_PERIOD_PS)
+    sp.add_argument("--n-side", type=int, default=ana["n_side"])
     sp.add_argument("--dark-subtract", action="store_true")
     sp.set_defaults(func=cmd_correlate)
 
@@ -371,6 +350,9 @@ def main(argv=None) -> int:
     except InsufficientStatisticsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATISTICS
+    except OSError as exc:  # e.g. a missing input file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ import io
 
 import numpy as np
 
+from .errors import MalformedFileError
 from .hbt import CorrelationHistogram
 from .specfit import Spectrum
 from .trajectory import ClickStream
@@ -26,23 +27,30 @@ def write_click_stream(path, stream: ClickStream) -> None:
 
 
 def read_click_stream(path) -> ClickStream:
+    """Parse a click file; a malformed one raises MalformedFileError."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
-        fields = header.split()
-        if not fields or fields[0] != CLICK_MAGIC:
-            raise ValueError(f"{path}: not a {CLICK_MAGIC} file")
-        meta = dict(f.split("=", 1) for f in fields[1:])
         body = fh.read()
-    data = np.genfromtxt(io.StringIO(body), delimiter=",", skip_header=1,
-                         dtype=[("channel", "U1"), ("time_ps", "f8")])
-    data = np.atleast_1d(data)
-    return ClickStream(
-        times=data["time_ps"].astype(np.float64),
-        channels=data["channel"],
-        duration=float(meta["duration_ps"]),
-        seed=int(meta["seed"]),
-        config_hash=meta["confighash"],
-    )
+    fields = header.split()
+    if not fields or fields[0] != CLICK_MAGIC:
+        raise MalformedFileError(f"{path}: not a {CLICK_MAGIC} file")
+    try:
+        meta = dict(f.split("=", 1) for f in fields[1:])
+        data = np.genfromtxt(io.StringIO(body), delimiter=",", skip_header=1,
+                             dtype=[("channel", "U1"), ("time_ps", "f8")])
+        data = np.atleast_1d(data)
+        # unparsable times read as NaN, which ClickStream rejects
+        return ClickStream(
+            times=data["time_ps"].astype(np.float64),
+            channels=data["channel"],
+            duration=float(meta["duration_ps"]),
+            seed=int(meta["seed"]),
+            config_hash=meta["confighash"],
+        )
+    except KeyError as exc:
+        raise MalformedFileError(f"{path}: header lacks {exc}") from None
+    except ValueError as exc:  # on one line: genfromtxt's message has several
+        raise MalformedFileError(f"{path}: {' '.join(str(exc).split())}") from None
 
 
 def write_histogram(path, h: CorrelationHistogram) -> None:

@@ -110,6 +110,7 @@ DEFAULT_CONFIG = {
         "excitation_prob": 1.0,
     },
     "detectors": {},
+    # the one source of the analysis defaults (correlate, demo-paper)
     "analysis": {"bin_width_ps": 130.0, "window_ps": 6.5 * REP_PERIOD_PS,
                  "n_side": 6},
 }
@@ -188,6 +189,5 @@ def build_detectors(cfg: dict) -> DetectorModel:
 
 
 def analysis_params(cfg: dict) -> dict:
-    out = {"bin_width_ps": 130.0, "window_ps": 6.5 * REP_PERIOD_PS, "n_side": 6}
-    out.update(cfg.get("analysis", {}))
-    return out
+    """The config's analysis section over DEFAULT_CONFIG's."""
+    return {**DEFAULT_CONFIG["analysis"], **cfg.get("analysis", {})}

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateBranchesError, WeakCouplingError
 from .units import HBAR_UEV_PS
@@ -194,6 +193,8 @@ def infer_bare_lifetime(measured_ps: float, detuning: float,
     Root-find over gamma_x in (0, gamma_c); the branch lifetime is
     strictly monotone in gamma_x on that interval.
     """
+    from scipy.optimize import brentq  # lazy: importing cqedkit loads no scipy
+
     if measured_ps <= 0:
         raise ValueError("measured lifetime must be positive")
     if g == 0:

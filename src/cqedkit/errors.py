@@ -13,6 +13,10 @@ class PeakWindowError(ConfigError, ValueError):
     """Correlation window too short for the requested pulsed peak areas."""
 
 
+class MalformedFileError(ConfigError, ValueError):
+    """Input file that does not parse as its format."""
+
+
 class ConvergenceError(CqedError):
     """A numerical routine failed to converge to its stated tolerance."""
 

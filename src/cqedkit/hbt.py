@@ -14,9 +14,6 @@ from . import kernels
 from .errors import (InsufficientStatisticsError, MiscalibrationError,
                      NoSignalError, PeakWindowError)
 
-DEFAULT_BIN_WIDTH = 128.0
-DEFAULT_WINDOW_PERIODS = 13
-
 
 @dataclass(frozen=True)
 class CorrelationHistogram:
@@ -61,8 +58,7 @@ class LifetimeFit:
     exponential: bool        # False when residuals look non-exponential
 
 
-def correlate(times_a, times_b=None, *, window: float,
-              bin_width: float = DEFAULT_BIN_WIDTH,
+def correlate(times_a, times_b=None, *, window: float, bin_width: float,
               duration: float) -> CorrelationHistogram:
     """All-pairs delay histogram t_b - t_a within +/- window.
 

@@ -10,28 +10,12 @@ dense linear algebra is the accuracy-first choice.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .coupled import SystemParams
 from .errors import ConvergenceError, CutoffError
 from .units import HBAR_UEV_PS
 
 _CUTOFF_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class HilbertConfig:
-    """Cavity Fock cutoff; total dimension is 2*(n_max+1)."""
-
-    n_max: int = 2
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return 2 * (self.n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -159,6 +143,8 @@ class _Propagator:
     """
 
     def __init__(self, model: LindbladModel, n_max: int):
+        import scipy.linalg  # lazy: importing cqedkit loads no scipy
+
         self.ops = Operators(n_max)
         self.lv = liouvillian(model, self.ops)
         self.evals, self.evecs = scipy.linalg.eig(self.lv)
@@ -167,6 +153,7 @@ class _Propagator:
         self._lu = scipy.linalg.lu_factor(self.evecs)
 
     def coeffs(self, vec: np.ndarray) -> np.ndarray:
+        import scipy.linalg
         return scipy.linalg.lu_solve(self._lu, vec)
 
     def apply_exp(self, vec: np.ndarray, t: float) -> np.ndarray:

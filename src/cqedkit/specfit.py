@@ -9,10 +9,10 @@ series is assembled into a branch-continued anticrossing from which
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from . import coupled
 from .errors import NoSignalError
-from .units import local_energy_per_nm
+from .units import HC_UEV_NM, local_energy_per_nm, wavelength_to_energy
 
 MAX_ITERATIONS = 200
 
@@ -224,6 +224,8 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
     the grid resolves"; the fit still converges there instead of trading
     width for area until it runs out of evaluations.
     """
+    from scipy.optimize import least_squares  # lazy: importing cqedkit loads no scipy
+
     lam, y = s.wavelength_nm, s.intensity
     if seed is None:
         seed = initial_guess(s)
@@ -249,7 +251,7 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
         ftol=1e-10, xtol=1e-12, gtol=1e-8,
         max_nfev=MAX_ITERATIONS * 3,
     )
-    converged = bool(res.status > 0 and res.status != 0)
+    converged = bool(res.status > 0)
 
     dof = max(len(lam) - 7, 1)
     variance = 2.0 * res.cost / dof
@@ -444,3 +446,32 @@ def temperature_tuning(temperature: float, calib: TuningCalibration | None = Non
     lam_c = (calib.resonance_wavelength_nm
              + calib.cavity_slope_nm_per_k * (t - calib.resonance_temp))
     return lam_c + delta, lam_c
+
+
+def tuned_system(p: coupled.SystemParams, temperature: float,
+                 calib: TuningCalibration | None = None) -> coupled.SystemParams:
+    """p with its exciton and cavity lines tuned to a temperature in K."""
+    lam_x, lam_c = temperature_tuning(temperature, calib)
+    return coupled.SystemParams(wavelength_to_energy(lam_x),
+                                wavelength_to_energy(lam_c),
+                                p.gamma_x, p.gamma_c, p.g)
+
+
+def synthetic_anticrossing(p: coupled.SystemParams, temperatures,
+                           rng: np.random.Generator) -> list[Spectrum]:
+    """Noisy model spectra of p tuned to each temperature, in order.
+
+    Each spectrum has 61 points 0.03 nm apart, centred on the midpoint of
+    the two branches, and 5% multiplicative Gaussian noise clipped at 0
+    (one rng.standard_normal(61) per temperature).
+    """
+    spectra = []
+    for t in temperatures:
+        pt = tuned_system(p, float(t))
+        pair = coupled.eigen_energies(pt)
+        mid = HC_UEV_NM / (0.5 * (pair.upper.real + pair.lower.real))
+        lam = mid + np.arange(-30, 31) * 0.03
+        clean = coupled.model_spectrum(pt, lam).intensity
+        y = np.maximum(clean * (1 + 0.05 * rng.standard_normal(lam.size)), 0.0)
+        spectra.append(Spectrum(lam, y, temperature=float(t)))
+    return spectra

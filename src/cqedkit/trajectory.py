@@ -6,8 +6,9 @@ effective Hamiltonian until a jump.  Jump channels: exciton leaky decay
 (click on X), cavity decay (click on C) and the phenomenological
 exciton-to-cavity-photon transfer (no click; the excitation continues as
 a cavity photon and leaves through C).  Jump times are sampled exactly by
-inverting the closed-form survival probability; everything is vectorized
-over pulses.
+inverting the closed-form survival probability (the Monte Carlo
+wave-function method of Dalibard, Castin & Molmer, PRL 68, 580 (1992));
+everything is vectorized over pulses.
 
 Background emitters are a statistical Poisson feed into channel C, not
 Hilbert-space objects.  Detector effects (thinning, jitter, dead time,
@@ -17,8 +18,7 @@ Seeding: a master numpy SeedSequence is split into fixed-order children
 (pulse physics, background, darks, detector), so streams are bit-exact
 reproducible from (config, seed) regardless of how analysis code threads.
 """
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +83,8 @@ class ClickStream:
     config_hash: str = ""
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("click times must be finite")
         if np.any(np.diff(self.times) < 0):
             raise ValueError("click times must be nondecreasing")
 
@@ -135,6 +137,18 @@ class SingleExcitationPropagator:
         alpha, beta = self.amplitudes(t)
         return np.abs(alpha) ** 2 + np.abs(beta) ** 2
 
+    def jump_times(self, u: np.ndarray) -> np.ndarray:
+        """Times at which the survival probability falls to each u, by
+        bisection on [0, t_max]."""
+        lo = np.zeros(len(u))
+        hi = np.full(len(u), self.t_max)
+        for _ in range(_BISECT_ITERS):
+            mid = 0.5 * (lo + hi)
+            above = self.survival(mid) > u
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        return 0.5 * (lo + hi)
+
     def sample_emissions(self, rng: np.random.Generator, n: int
                          ) -> tuple[np.ndarray, np.ndarray]:
         """Exact emission (delay_ps, channel) for n fresh excitations.
@@ -143,15 +157,7 @@ class SingleExcitationPropagator:
         photon continues in the cavity and exits through C after an
         additional exponential delay.
         """
-        u = np.clip(rng.random(n), _MIN_U, None)
-        lo = np.zeros(n)
-        hi = np.full(n, self.t_max)
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            above = self.survival(mid) > u
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        t_jump = 0.5 * (lo + hi)
+        t_jump = self.jump_times(np.clip(rng.random(n), _MIN_U, None))
         alpha, beta = self.amplitudes(t_jump)
         w_x = self.rate_x * np.abs(alpha) ** 2
         w_c = self.rate_c * np.abs(beta) ** 2
@@ -166,11 +172,6 @@ class SingleExcitationPropagator:
             t_jump[transferred] += extra
             channel[transferred] = 0
         return t_jump, channel
-
-
-def _config_fingerprint(model, pump, det, duration, seed) -> str:
-    text = repr((model, pump, det, duration, seed))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _pulsed_emissions(model, pump, duration, rng):
@@ -304,8 +305,6 @@ def simulate_stream(model: LindbladModel, pump: PumpSchedule,
         np.full(len(d_times), "D"),
     ])
     order = np.lexsort((all_chan, all_times))
-    if not config_hash:
-        config_hash = _config_fingerprint(model, pump, det, duration, seed)
     return ClickStream(all_times[order], all_chan[order], duration, seed,
                        config_hash)
 
@@ -349,22 +348,12 @@ def average_excited_population(model: LindbladModel, t_grid, n_traj: int,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     prop = SingleExcitationPropagator(model)
-    pop = np.zeros((n_traj, len(t_grid)))
-    children = np.random.SeedSequence(seed).spawn(n_traj)
+    u = [np.random.default_rng(child).random()
+         for child in np.random.SeedSequence(seed).spawn(n_traj)]
+    t_jump = prop.jump_times(np.clip(u, _MIN_U, None))
     alpha, _ = prop.amplitudes(t_grid)
-    surv = prop.survival(t_grid)
-    cond = np.abs(alpha) ** 2 / surv
-    for k in range(n_traj):
-        rng = np.random.default_rng(children[k])
-        u = max(rng.random(), _MIN_U)
-        lo, hi = 0.0, prop.t_max
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if prop.survival(np.array([mid]))[0] > u:
-                lo = mid
-            else:
-                hi = mid
-        pop[k] = np.where(t_grid < 0.5 * (lo + hi), cond, 0.0)
+    cond = np.abs(alpha) ** 2 / prop.survival(t_grid)
+    pop = np.where(t_grid < t_jump[:, None], cond, 0.0)
     mean = pop.mean(axis=0)
     se = pop.std(axis=0, ddof=1) / np.sqrt(n_traj)
     return mean, se

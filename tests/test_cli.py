@@ -117,13 +117,45 @@ def test_correlate_window_too_small_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "histogram.csv").exists()
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
     src = os.path.dirname(os.path.dirname(cqedkit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, cqedkit.cli; "
-            "sys.exit('scipy.signal' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    no_scipy = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    cases = [
+        "import sys, cqedkit.cli; sys.exit('scipy.signal' in sys.modules)",
+        # simulate and correlate load no scipy module at all
+        "import sys, cqedkit.cli as c; "
+        f"o = ['--out-dir', {str(tmp_path)!r}]; "
+        "assert c.main(o + ['simulate', '--pulses', '200']) == 0; "
+        f"assert c.main(o + ['correlate', {str(tmp_path / 'clicks.csv')!r}]) == 0; "
+        f"sys.exit({no_scipy})",
+    ]
+    for code in cases:
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("corrupt", ["nan_time", "swapped_rows", "missing"])
+def test_correlate_bad_click_file_is_config_error(tmp_path, capsys, corrupt):
+    run(capsys, "--out-dir", str(tmp_path), "simulate", "--pulses", "200")
+    clicks = tmp_path / "clicks.csv"
+    lines = clicks.read_text().splitlines(keepends=True)
+    if corrupt == "nan_time":
+        lines.insert(5, "C,oops\n")
+    elif corrupt == "swapped_rows":
+        lines[2], lines[3] = lines[3], lines[2]
+    bad = tmp_path / "bad.csv"
+    if corrupt != "missing":
+        bad.write_text("".join(lines))
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), "correlate",
+                         str(bad))
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad.csv" in err
+    assert not (tmp_path / "histogram.csv").exists()
 
 
 def test_invalid_config_file_exit_code(tmp_path, capsys):

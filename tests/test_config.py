@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cqedkit import config
+from cqedkit import cli, config
 from cqedkit.coupled import SystemParams
 from cqedkit.errors import ConfigError
 from cqedkit.lindblad import LindbladModel
@@ -87,3 +87,8 @@ def test_analysis_defaults_without_section():
     config.validate_config(cfg)
     params = config.analysis_params(cfg)
     assert params["window_ps"] == 6.5 * config.REP_PERIOD_PS
+    # the correlate command's defaults are the same numbers
+    args = cli.build_parser().parse_args(["correlate", "clicks.csv"])
+    assert ((args.bin, args.window, args.n_side, args.rep_period)
+            == (params["bin_width_ps"], params["window_ps"], params["n_side"],
+                config.REP_PERIOD_PS))

@@ -206,7 +206,8 @@ def test_merge_histograms():
 
 def test_correlate_rejects_empty_and_small_window():
     with pytest.raises(NoSignalError):
-        hbt.correlate(np.empty(0), window=100.0, duration=1.0)
+        hbt.correlate(np.empty(0), window=100.0, bin_width=130.0,
+                      duration=1.0)
     rng = np.random.default_rng(12)
     t = single_photon_pulse_times(200, rng)
     h = hbt.correlate(t, window=2.0 * REP, bin_width=130.0, duration=200 * REP)

@@ -8,7 +8,7 @@ from cqedkit.specfit import (LorentzianParams, MeasuredAnticrossing, Spectrum,
                              double_lorentzian_jacobian, fit_double_lorentzian,
                              fit_series, initial_guess, lorentzian,
                              temperature_tuning)
-from cqedkit.units import (HBAR_UEV_PS, HC_UEV_NM, energy_to_wavelength,
+from cqedkit.units import (HBAR_UEV_PS, energy_to_wavelength,
                            local_energy_per_nm, wavelength_to_energy)
 
 GX = HBAR_UEV_PS / 700.0
@@ -24,19 +24,9 @@ def acceptance6_spectra(seed):
     temps = np.concatenate([np.arange(6.0, 8.01, 1.0),
                             np.arange(8.5, 12.51, 0.5),
                             np.arange(13.0, 16.01, 1.0)])
-    rng = np.random.default_rng(seed)
-    spectra = []
-    for t in temps:
-        lam_x, lam_c = temperature_tuning(float(t))
-        pt = coupled.SystemParams(wavelength_to_energy(lam_x),
-                                  wavelength_to_energy(lam_c), GX, 85.0, 35.0)
-        pair = coupled.eigen_energies(pt)
-        mid = HC_UEV_NM / (0.5 * (pair.upper.real + pair.lower.real))
-        lam = mid + np.arange(-30, 31) * 0.03
-        clean = coupled.model_spectrum(pt, lam).intensity
-        y = np.maximum(clean * (1 + 0.05 * rng.standard_normal(lam.size)), 0.0)
-        spectra.append(Spectrum(lam, y, temperature=float(t)))
-    return spectra
+    return specfit.synthetic_anticrossing(
+        coupled.SystemParams(0.0, 0.0, GX, 85.0, 35.0), temps,
+        np.random.default_rng(seed))
 
 
 def test_lorentzian_shape_properties():

@@ -20,7 +20,6 @@ def test_seed_determinism_bit_exact():
     b = simulate_stream(MODEL, PUMP, IDEAL, 2e6, seed=42)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.channels, b.channels)
-    assert a.config_hash == b.config_hash
     c = simulate_stream(MODEL, PUMP, IDEAL, 2e6, seed=43)
     assert not np.array_equal(a.times, c.times)
 
