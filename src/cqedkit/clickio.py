@@ -4,7 +4,7 @@ All formats are plain text, diff-able, and byte-reproducible: CSV for
 data, flat `key = value` blocks for reports.  Click times are written
 with 0.1 ps precision.
 """
-import io
+import math
 
 import numpy as np
 
@@ -14,6 +14,8 @@ from .specfit import Spectrum
 from .trajectory import ClickStream
 
 CLICK_MAGIC = "#cqed-click-v1"
+CLICK_COLUMNS = "channel,time_ps"
+CLICK_CHANNELS = ("C", "X", "D")
 
 
 def write_click_stream(path, stream: ClickStream) -> None:
@@ -21,36 +23,70 @@ def write_click_stream(path, stream: ClickStream) -> None:
         fh.write(f"{CLICK_MAGIC} seed={stream.seed} "
                  f"duration_ps={stream.duration!r} "
                  f"confighash={stream.config_hash}\n")
-        fh.write("channel,time_ps\n")
+        fh.write(CLICK_COLUMNS + "\n")
         for ch, t in zip(stream.channels, stream.times):
             fh.write(f"{ch},{t:.1f}\n")
 
 
+def _line_error(path, lineno: int, what: str) -> MalformedFileError:
+    return MalformedFileError(f"{path}: line {lineno}: {what}")
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def read_click_stream(path) -> ClickStream:
-    """Parse a click file; a malformed one raises MalformedFileError."""
+    """Parse a click file; a malformed one raises MalformedFileError.
+
+    The message names the file, and the line for a bad row: a channel
+    other than C, X or D, an unparsable or non-finite time, or a time
+    below the previous row's.
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
-        body = fh.read()
+        columns = fh.readline().strip()
+        lines = fh.read().splitlines()
     fields = header.split()
     if not fields or fields[0] != CLICK_MAGIC:
         raise MalformedFileError(f"{path}: not a {CLICK_MAGIC} file")
     try:
         meta = dict(f.split("=", 1) for f in fields[1:])
-        data = np.genfromtxt(io.StringIO(body), delimiter=",", skip_header=1,
-                             dtype=[("channel", "U1"), ("time_ps", "f8")])
-        data = np.atleast_1d(data)
-        # unparsable times read as NaN, which ClickStream rejects
-        return ClickStream(
-            times=data["time_ps"].astype(np.float64),
-            channels=data["channel"],
-            duration=float(meta["duration_ps"]),
-            seed=int(meta["seed"]),
-            config_hash=meta["confighash"],
-        )
+        duration = float(meta["duration_ps"])
+        seed = int(meta["seed"])
+        config_hash = meta["confighash"]
     except KeyError as exc:
         raise MalformedFileError(f"{path}: header lacks {exc}") from None
-    except ValueError as exc:  # on one line: genfromtxt's message has several
-        raise MalformedFileError(f"{path}: {' '.join(str(exc).split())}") from None
+    except ValueError as exc:
+        raise _line_error(path, 1, f"bad header field ({exc})") from None
+    if columns != CLICK_COLUMNS:
+        raise _line_error(path, 2, f"expected {CLICK_COLUMNS!r}")
+
+    first_row = 3  # line number of rows[0]
+    rows = [ln.partition(",") for ln in lines]
+    channels = [r[0] for r in rows]
+    if not set(channels) <= set(CLICK_CHANNELS):
+        i = next(i for i, ch in enumerate(channels) if ch not in CLICK_CHANNELS)
+        raise _line_error(path, first_row + i, f"unknown channel {channels[i]!r}")
+    stamps = [r[2] for r in rows]
+    try:
+        times = np.array(stamps, dtype=np.float64)
+    except ValueError:
+        times = np.array([_float_or_nan(t) for t in stamps])
+    bad = np.flatnonzero(~np.isfinite(times))
+    if len(bad):
+        i = bad[0]
+        raise _line_error(path, first_row + i, f"bad time {stamps[i]!r}")
+    back = np.flatnonzero(np.diff(times) < 0)
+    if len(back):
+        i = back[0] + 1
+        raise _line_error(path, first_row + i,
+                         f"time {stamps[i]} ps before the previous row's")
+    return ClickStream(times=times, channels=np.array(channels, dtype=str),
+                       duration=duration, seed=seed, config_hash=config_hash)
 
 
 def write_histogram(path, h: CorrelationHistogram) -> None:
@@ -72,21 +108,33 @@ def write_spectrum(path, s: Spectrum) -> None:
 
 
 def read_spectrum(path) -> Spectrum:
+    """Parse a spectrum file; a malformed one raises MalformedFileError
+    naming the file and, for a bad row, its line."""
     temperature = None
     with open(path) as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines and lines[0].startswith("#"):
-        head = lines.pop(0).lstrip("# ")
-        key, _, val = head.partition("=")
+        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1)
+                 if ln.strip()]
+    if lines and lines[0][1].startswith("#"):
+        lineno, head = lines.pop(0)
+        key, _, val = head.lstrip("# ").partition("=")
         if key.strip() == "temperature_K":
-            temperature = float(val)
-    if lines and lines[0].strip().startswith("wavelength"):
+            temperature = _float_or_nan(val)
+            if not math.isfinite(temperature):
+                raise _line_error(path, lineno, f"bad temperature {val!r}")
+    if lines and lines[0][1].strip().startswith("wavelength"):
         lines.pop(0)
-    rows = [ln.split(",") for ln in lines]
-    lam = np.array([float(r[0]) for r in rows])
-    inten = np.array([float(r[1]) for r in rows])
-    return Spectrum(lam, inten, temperature=temperature)
+    values = []
+    for lineno, ln in lines:
+        row = [_float_or_nan(v) for v in ln.split(",")]
+        if len(row) != 2 or not all(map(math.isfinite, row)):
+            raise _line_error(path, lineno,
+                             f"expected wavelength_nm,intensity, got {ln!r}")
+        values.append(row)
+    lam, inten = np.array(values, dtype=np.float64).reshape(-1, 2).T
+    try:
+        return Spectrum(lam, inten, temperature=temperature)
+    except ValueError as exc:
+        raise MalformedFileError(f"{path}: {exc}") from None
 
 
 def format_report(title: str, fields: dict) -> str:

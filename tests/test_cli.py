@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -137,7 +138,17 @@ def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
         assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("corrupt", ["nan_time", "swapped_rows", "missing"])
+BAD_CLICK_MESSAGES = {
+    "nan_time": "line 6: bad time 'oops'",
+    "swapped_rows": "line 4: time",
+    "missing": "No such file",
+    # a one-character channel dtype would accept Q and cut CX to C
+    "unknown_channel": "line 6: unknown channel 'Q'",
+    "two_letter_channel": "line 6: unknown channel 'CX'",
+}
+
+
+@pytest.mark.parametrize("corrupt", BAD_CLICK_MESSAGES)
 def test_correlate_bad_click_file_is_config_error(tmp_path, capsys, corrupt):
     run(capsys, "--out-dir", str(tmp_path), "simulate", "--pulses", "200")
     clicks = tmp_path / "clicks.csv"
@@ -146,6 +157,10 @@ def test_correlate_bad_click_file_is_config_error(tmp_path, capsys, corrupt):
         lines.insert(5, "C,oops\n")
     elif corrupt == "swapped_rows":
         lines[2], lines[3] = lines[3], lines[2]
+    elif corrupt == "unknown_channel":
+        lines[5] = "Q," + lines[5].partition(",")[2]
+    elif corrupt == "two_letter_channel":
+        lines[5] = "CX," + lines[5].partition(",")[2]
     bad = tmp_path / "bad.csv"
     if corrupt != "missing":
         bad.write_text("".join(lines))
@@ -154,8 +169,41 @@ def test_correlate_bad_click_file_is_config_error(tmp_path, capsys, corrupt):
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "bad.csv" in err
+    assert "bad.csv" in err and BAD_CLICK_MESSAGES[corrupt] in err
     assert not (tmp_path / "histogram.csv").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    pytest.param("936.0,1.0\n936.1,x\n",
+                 "line 4: expected wavelength_nm,intensity, got '936.1,x'",
+                 id="bad_value"),
+    pytest.param("936.0,1.0\n936.1,nan\n", "line 4: ", id="nan_value"),
+    pytest.param("936.0,1.0\n936.1,1.0,2.0\n", "line 4: ", id="three_fields"),
+    pytest.param("936.1,1.0\n936.0,1.0\n", "strictly increasing",
+                 id="unsorted"),
+])
+def test_fit_bad_spectrum_is_config_error(tmp_path, capsys, rows, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# temperature_K=10.0\nwavelength_nm,intensity\n" + rows)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "--out-dir", str(out_dir), "fit", str(bad))
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad.csv" in err and message in err
+    assert not out_dir.exists()
+
+
+def test_simulate_golden_bytes(tmp_path, capsys):
+    # sha256 of the click file as the 80-step bisection sampler wrote it;
+    # the log-survival table and Newton steps must write the same bytes
+    code, _, _ = run(capsys, "--out-dir", str(tmp_path), "--seed", "5",
+                     "simulate", "--preset", "single-photon-detuned",
+                     "--pulses", "2000")
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "clicks.csv").read_bytes()).hexdigest()
+    assert digest == ("143dc30d9d92c871591d4a62b814d16c"
+                      "95909b535fb535f8d9d2e44ccb0a700b")
 
 
 def test_invalid_config_file_exit_code(tmp_path, capsys):

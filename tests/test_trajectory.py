@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqedkit import lindblad, trajectory
+from cqedkit import config, lindblad, trajectory
 from cqedkit.errors import ConfigError
 from cqedkit.lindblad import LindbladModel, Operators
 from cqedkit.trajectory import (ClickStream, DetectorModel, PumpSchedule,
@@ -40,6 +40,37 @@ def test_survival_properties():
     assert surv[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(surv) <= 1e-12)
     assert surv[-1] < 1e-4
+
+
+def _bisect_jump_times(prop, u, iters=80):
+    """Reference inversion: bisection of S(t) = u on [0, t_max]."""
+    lo = np.zeros(len(u))
+    hi = np.full(len(u), prop.t_max)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        above = prop.survival(mid) > u
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("model", [
+    MODEL,
+    config.build_model(config.FIG4_DETUNED_CONFIG),
+    MODEL.with_rates(transfer=2e-3),
+    # deep Rabi plateaus in S: the hardest case for the table's Newton start
+    LindbladModel(e_x=0.0, e_c=0.0, g=300.0, gamma_x=GX, gamma_c=5.0),
+    LindbladModel(e_x=0.0, e_c=0.0, g=0.0, gamma_x=GX, gamma_c=85.0),
+], ids=["resonant", "detuned-preset", "transfer", "deep-plateau", "uncoupled"])
+def test_jump_times_match_bisection(model):
+    prop = SingleExcitationPropagator(model)
+    rng = np.random.default_rng(0)
+    # more draws than one block, plus both ends of the sampled range
+    u = np.concatenate([np.clip(rng.random(20000), trajectory._MIN_U, None),
+                        [trajectory._MIN_U, 1.0 - 1e-16]])
+    t = prop.jump_times(u)
+    assert np.all((t >= 0.0) & (t <= prop.t_max))
+    assert np.max(np.abs(t - _bisect_jump_times(prop, u))) <= 1e-4
 
 
 def test_branching_fractions_decoupled_limits():
