@@ -163,6 +163,9 @@ def cmd_fit(args) -> int:
     else:
         series = [(float(i), specfit.fit_double_lorentzian(s))
                   for i, (s, _) in enumerate(pairs)]
+    ext = None
+    if tagged and len(series) >= 5:  # before any output: an error writes none
+        ext = specfit.extract_coupling(specfit.assemble_anticrossing(series))
     for (tag, fit), (_, fname) in zip(series, pairs):
         p1, p2 = fit.peaks
         sys.stdout.write(clickio.format_report("fit", {
@@ -173,8 +176,7 @@ def cmd_fit(args) -> int:
             "reduced_chi2": fit.reduced_chi2,
             "converged": fit.converged,
         }))
-    if tagged and len(series) >= 5:
-        ext = specfit.extract_coupling(specfit.assemble_anticrossing(series))
+    if ext is not None:
         sys.stdout.write(clickio.format_report("coupling", {
             "gamma_c_ueV": ext.gamma_c,
             "gamma_x_ueV": ext.gamma_x,

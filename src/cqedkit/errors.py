@@ -41,5 +41,10 @@ class NoSignalError(InsufficientStatisticsError):
     """Input contains no usable signal (flat spectrum, empty stream)."""
 
 
+class AnticrossingError(InsufficientStatisticsError, ValueError):
+    """Fitted series that gives no anticrossing: too few usable fits, or
+    the resonance not inside the series."""
+
+
 class MiscalibrationError(CqedError):
     """Background subtraction inconsistent with the data beyond tolerance."""

@@ -1,17 +1,20 @@
 """Double-Lorentzian spectral fitting and anticrossing extraction.
 
 Lorentzians are parameterized by area (not height) for stable covariance
-near merged peaks; each spectrum gets one constant baseline.  Fits use
-damped least squares with an analytic Jacobian.  A fitted temperature
+near merged peaks; each spectrum gets one constant baseline.  Fits are
+box-bounded least squares with an analytic Jacobian, solved by a small
+Levenberg-Marquardt loop projected onto the bounds (`_lm_box`), so a
+width that reaches its floor sits exactly on it.  A fitted temperature
 series is assembled into a branch-continued anticrossing from which
 (gamma_c, gamma_x, splitting, g) are inverted.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coupled
-from .errors import NoSignalError
+from .errors import AnticrossingError, NoSignalError
 from .units import HC_UEV_NM, local_energy_per_nm, wavelength_to_energy
 
 MAX_ITERATIONS = 200
@@ -211,8 +214,90 @@ def initial_guess(s: Spectrum) -> np.ndarray:
     return np.array(params)
 
 
+def _lm_box(fun, jac, x, lo, hi, ftol, xtol, gtol, max_nfev):
+    """Minimise 0.5*|fun(x)|^2 on the box lo <= x <= hi.
+
+    Levenberg-Marquardt with Marquardt's diagonal scaling, projected onto
+    the box (More, LNM 630, 1978; Kanzow, Yamashita & Fukushima, J.
+    Comput. Appl. Math. 172, 375 (2004)).  A parameter on a bound whose
+    gradient points out of the box is frozen for the step; the other
+    parameters solve the damped normal equations.  A parameter the step
+    would carry out of the box is put exactly on its bound and the rest
+    are solved again around it.  The damping follows the gain ratio
+    (Nielsen's update, IMM-REP-1999-05).
+
+    Returns (x, residuals, Jacobian at x, status) with scipy's status
+    codes: 0 evaluation cap, 1 projected gradient below gtol, 2 relative
+    cost reduction below ftol, 3 step below xtol.
+    """
+    n = len(x)
+    r = fun(x)
+    nfev = 1
+    cost = 0.5 * (r @ r)
+    J = jac(x)
+    scale = np.zeros(n)
+    mu, nu = 0.1, 2.0
+    while True:
+        g = J.T @ r
+        # gtol as scipy's trust-region-reflective reads it: each gradient
+        # component times the distance to the bound it points at (1 if
+        # that bound is infinite), so a parameter pinned on its bound by
+        # the gradient counts as converged
+        room = np.where(g < 0, hi - x, x - lo)
+        if np.max(np.abs(g * np.where(np.isinf(room), 1.0, room))) < gtol:
+            return x, r, J, 1
+        if nfev >= max_nfev:
+            return x, r, J, 0
+        free = room > 0
+        jtj = J.T @ J
+        scale = np.maximum(scale, jtj.diagonal())  # More's monotone scaling
+        damped = jtj.copy()
+        damped.flat[::n + 1] += mu * np.maximum(scale, 1e-30 * scale.max())
+        step = np.zeros(n)
+        x_new = x.copy()
+        while True:
+            # identity rows keep the step of each parameter held fixed
+            step = np.linalg.solve(
+                np.where(free[:, None] & free, damped, np.eye(n)),
+                np.where(free, -g - jtj @ (step * ~free), step))
+            trial = np.clip(x + step, lo, hi)
+            x_new[free] = trial[free]
+            out = free & (trial != x + step)
+            if not out.any():
+                break
+            step[out] = trial[out] - x[out]
+            free &= ~out
+        step = x_new - x
+        r_new = fun(x_new)
+        nfev += 1
+        cost_new = 0.5 * (r_new @ r_new)
+        reduction = cost - cost_new
+        predicted = -(g @ step + 0.5 * (step @ jtj @ step))
+        ratio = reduction / predicted if predicted > 0 else 0.0
+        status = 0
+        if reduction < ftol * cost and ratio > 0.25:
+            status = 2
+        elif math.sqrt(step @ step) < xtol * (xtol + math.sqrt(x @ x)):
+            status = 3
+        if reduction > 0:
+            x, r, cost = x_new, r_new, cost_new
+            J = jac(x)
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        if status:
+            return x, r, J, status
+
+
 def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
-    """Damped least-squares double-Lorentzian fit with analytic Jacobian.
+    """Box-bounded double-Lorentzian least-squares fit.
+
+    Projected Levenberg-Marquardt (`_lm_box`) with the analytic Jacobian,
+    at most 600 model evaluations; converged means it stopped on ftol
+    (1e-10), xtol (1e-12) or gtol (1e-8) with neither FWHM on its upper
+    bound of 10x the span, where a line has turned into a second baseline.
 
     sigma: optional per-point standard deviations for heteroscedastic
     weighting (e.g. multiplicative detection noise); default unweighted.
@@ -220,12 +305,11 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
     Both widths are bounded below by 1/50 of the smallest sampling step
     (0.6 pm on a 0.03 nm grid, just below a 0.94 ueV exciton line), so a
     line centred between two samples puts under 0.05% of its peak on
-    either one.  A fitted FWHM equal to this floor means "narrower than
-    the grid resolves"; the fit still converges there instead of trading
-    width for area until it runs out of evaluations.
+    either one.  A step that would cross the floor puts the width exactly
+    on it, and the fit converges there with the width held while the
+    gradient presses on the bound.  A fitted FWHM equal to this floor
+    means "narrower than the grid resolves".
     """
-    from scipy.optimize import least_squares  # lazy: importing cqedkit loads no scipy
-
     lam, y = s.wavelength_nm, s.intensity
     if seed is None:
         seed = initial_guess(s)
@@ -238,27 +322,22 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
 
     span = lam[-1] - lam[0]
     w_min = np.min(np.diff(lam)) / 50.0
-    lo = [1e-300, lam[0] - span, w_min, 1e-300, lam[0] - span, w_min, -np.inf]
-    hi = [np.inf, lam[-1] + span, 10 * span, np.inf, lam[-1] + span, 10 * span, np.inf]
-    seed = np.clip(seed, lo, hi)
+    lo = np.array([1e-300, lam[0] - span, w_min,
+                   1e-300, lam[0] - span, w_min, -np.inf])
+    hi = np.array([np.inf, lam[-1] + span, 10 * span,
+                   np.inf, lam[-1] + span, 10 * span, np.inf])
 
-    res = least_squares(
+    p, r, jac, status = _lm_box(
         lambda p: (double_lorentzian(lam, p) - y) * w,
-        seed,
-        jac=lambda p: double_lorentzian_jacobian(lam, p) * w[:, None],
-        bounds=(lo, hi),
-        method="trf",
-        ftol=1e-10, xtol=1e-12, gtol=1e-8,
-        max_nfev=MAX_ITERATIONS * 3,
-    )
-    converged = bool(res.status > 0)
+        lambda p: double_lorentzian_jacobian(lam, p) * w[:, None],
+        np.clip(seed, lo, hi), lo, hi,
+        ftol=1e-10, xtol=1e-12, gtol=1e-8, max_nfev=MAX_ITERATIONS * 3)
+    converged = bool(status > 0 and max(p[2], p[5]) < hi[2])
 
     dof = max(len(lam) - 7, 1)
-    variance = 2.0 * res.cost / dof
-    jtj = res.jac.T @ res.jac
-    cov = variance * np.linalg.pinv(jtj)
+    variance = (r @ r) / dof
+    cov = variance * np.linalg.pinv(jac.T @ jac)
 
-    p = res.x
     first, second = (0, 3) if p[1] <= p[4] else (3, 0)
     if first == 3:  # keep covariance aligned with the reported peak order
         perm = [3, 4, 5, 0, 1, 2, 6]
@@ -326,7 +405,8 @@ def assemble_anticrossing(series: list[tuple[float, FitResult]]) -> MeasuredAnti
         series = [(t, f) for t, f in series
                   if f.reduced_chi2 <= 10.0 * med_chi2 + 1e-300]
     if len(series) < 5:
-        raise ValueError("need >= 5 converged fits spanning resonance")
+        raise AnticrossingError(
+            f"need >= 5 converged fits spanning resonance, got {len(series)}")
     temps = np.array([t for t, _ in series], dtype=float)
     if np.any(np.diff(temps) <= 0):
         raise ValueError("temperature series must be strictly increasing")
@@ -387,7 +467,10 @@ def extract_coupling(curve: MeasuredAnticrossing) -> CouplingExtraction:
     i_min = int(np.argmin(sep))
     n = len(sep)
     if i_min == 0 or i_min == n - 1:
-        raise ValueError("series does not span the resonance")
+        raise AnticrossingError(
+            f"series {curve.temperature[0]:g}-{curve.temperature[-1]:g} K does "
+            f"not span the resonance: the lines are closest at "
+            f"{curve.temperature[i_min]:g} K, its end")
     lam_res = 0.5 * (curve.center_a[i_min] + curve.center_b[i_min])
     per_nm = local_energy_per_nm(lam_res)
     sep = sep * per_nm
@@ -408,7 +491,7 @@ def extract_coupling(curve: MeasuredAnticrossing) -> CouplingExtraction:
     usable = (sep > 1.2 * splitting) & (disc > 0) & (dw > 0)
     usable[i_min] = False
     if not np.any(usable):
-        raise ValueError("series has no usable detuned points")
+        raise AnticrossingError("series has no usable detuned points")
     d_est = sep[usable] * dw[usable] / np.sqrt(disc[usable])
     d = float(np.median(d_est))
     d_err = float(1.4826 * np.median(np.abs(d_est - d)) / np.sqrt(len(d_est))

@@ -123,6 +123,7 @@ def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     no_scipy = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    spectra = write_series(tmp_path, np.arange(6.0, 16.1, 0.5))
     cases = [
         "import sys, cqedkit.cli; sys.exit('scipy.signal' in sys.modules)",
         # simulate and correlate load no scipy module at all
@@ -130,6 +131,10 @@ def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
         f"o = ['--out-dir', {str(tmp_path)!r}]; "
         "assert c.main(o + ['simulate', '--pulses', '200']) == 0; "
         f"assert c.main(o + ['correlate', {str(tmp_path / 'clicks.csv')!r}]) == 0; "
+        f"sys.exit({no_scipy})",
+        # nor does fitting a series and extracting the coupling
+        "import sys, cqedkit.cli as c; "
+        f"assert c.main(['fit', *{spectra!r}]) == 0; "
         f"sys.exit({no_scipy})",
     ]
     for code in cases:
@@ -216,22 +221,30 @@ def test_invalid_config_file_exit_code(tmp_path, capsys):
     assert "bogus_knob" in err or "config field" in err
 
 
-def test_fit_series_through_cli(tmp_path, capsys):
+def write_series(directory, temps, noise=0.0):
+    """Model spectra of the default device tuned to each temperature, as
+    tagged spectrum files, with multiplicative Gaussian noise of the given
+    fraction (one value, or one per temperature)."""
     p = config.build_system(config.DEFAULT_CONFIG)
+    rng = np.random.default_rng(0)
     files = []
-    for t in np.arange(6.0, 16.1, 0.5):  # lands on the 10.5 K resonance
-        lam_x, lam_c = specfit.temperature_tuning(float(t))
-        pt = coupled.SystemParams(wavelength_to_energy(lam_x),
-                                  wavelength_to_energy(lam_c),
-                                  p.gamma_x, p.gamma_c, p.g)
+    for t, frac in zip(temps, np.broadcast_to(noise, len(temps))):
+        pt = specfit.tuned_system(p, float(t))
         pair = coupled.eigen_energies(pt)
         mid = HC_UEV_NM / (0.5 * (pair.upper.real + pair.lower.real))
         grid = mid + np.arange(-40, 41) * 0.02
-        s = coupled.model_spectrum(pt, grid)
-        path = tmp_path / f"spec_{t:.1f}.csv"
-        clickio.write_spectrum(path, specfit.Spectrum(
-            grid, s.intensity, temperature=float(t)))
+        y = coupled.model_spectrum(pt, grid).intensity
+        if frac:
+            y = np.maximum(y * (1 + frac * rng.standard_normal(y.size)), 0.0)
+        path = directory / f"spec_{t:.1f}.csv"
+        clickio.write_spectrum(path, specfit.Spectrum(grid, y,
+                                                      temperature=float(t)))
         files.append(str(path))
+    return files
+
+
+def test_fit_series_through_cli(tmp_path, capsys):
+    files = write_series(tmp_path, np.arange(6.0, 16.1, 0.5))  # hits 10.5 K
     code, out, _ = run(capsys, "fit", *files)
     assert code == 0
     # one [fit] block per file plus one [coupling] block
@@ -241,3 +254,23 @@ def test_fit_series_through_cli(tmp_path, capsys):
     assert float(coupling["g_ueV"]) == pytest.approx(35.0, rel=0.02)
     assert float(coupling["gamma_c_ueV"]) == pytest.approx(85.0, rel=0.05)
     assert coupling["splitting_resolvable"] == "True"
+
+
+@pytest.mark.parametrize("temps, noise, message", [
+    pytest.param(np.arange(6.0, 8.1, 0.5), 0.05,
+                 "series 6-8 K does not span the resonance", id="below"),
+    pytest.param(np.arange(14.0, 16.1, 0.5), 0.05,
+                 "series 14-16 K does not span the resonance", id="above"),
+    # ten times the noise the weights assume makes a gross misfit
+    pytest.param(np.arange(9.5, 11.6, 0.5), [0.05, 0.05, 0.5, 0.05, 0.05],
+                 "need >= 5 converged fits spanning resonance, got 4",
+                 id="misfit_dropped"),
+])
+def test_fit_series_without_anticrossing_is_statistics_error(
+        tmp_path, capsys, temps, noise, message):
+    files = write_series(tmp_path, temps, noise)
+    code, out, err = run(capsys, "fit", *files, "--noise-fraction", "0.05")
+    assert code == cli.EXIT_STATISTICS
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
