@@ -7,7 +7,8 @@ coupling extraction), demo-paper (end-to-end reproduction of the
 headline numbers).
 
 Exit codes: 0 success, 2 configuration error or unreadable file, 3
-numerical non-convergence, 4 insufficient statistics.
+numerical non-convergence, 4 insufficient statistics or a dark
+subtraction that contradicts the counts.
 """
 import argparse
 import os
@@ -16,23 +17,35 @@ import sys
 import numpy as np
 
 from . import clickio, config as cfgmod, coupled, hbt, lindblad, specfit, trajectory
-from .errors import (ConfigError, ConvergenceError, InsufficientStatisticsError,
-                     PeakWindowError)
+from .errors import (ConfigError, ConvergenceError, CqedError,
+                     DegenerateBranchesError, InsufficientStatisticsError,
+                     MiscalibrationError, PeakWindowError, WeakCouplingError)
 from .units import HC_UEV_NM, q_factor, wavelength_to_energy
 
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_STATISTICS = 4
+#: exit code of each error class main() reports; the first class in an
+#: error's MRO that is listed here decides
+EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    OSError: EXIT_CONFIG,  # e.g. a missing input file
+    WeakCouplingError: EXIT_CONFIG,
+    DegenerateBranchesError: EXIT_CONFIG,
+    ConvergenceError: EXIT_CONVERGENCE,
+    InsufficientStatisticsError: EXIT_STATISTICS,
+    MiscalibrationError: EXIT_STATISTICS,
+}
 
 
 def _load_config(args) -> dict:
     if args.config:
         cfg = cfgmod.load_config(args.config)
     else:
-        cfg = cfgmod.validate_config(cfgmod.PRESETS[args.preset])
-    if getattr(args, "seed", None) is not None:
+        cfg = cfgmod.PRESETS[args.preset]
+    if args.seed is not None:
         cfg = dict(cfg, seed=args.seed)
-    return cfg
+    return cfgmod.validate_config(cfg)
 
 
 def _out_path(args, name: str) -> str:
@@ -158,6 +171,10 @@ def cmd_fit(args) -> int:
     tagged = all(s.temperature is not None for s, _ in pairs)
     if tagged:
         pairs.sort(key=lambda sf: sf[0].temperature)
+        for (s1, f1), (s2, f2) in zip(pairs, pairs[1:]):
+            if s1.temperature == s2.temperature:
+                raise ConfigError(f"{f1} and {f2} are both tagged "
+                                  f"{s1.temperature} K")
         series = specfit.fit_series([s for s, _ in pairs],
                                     noise_fraction=args.noise_fraction)
     else:
@@ -343,18 +360,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (CqedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except InsufficientStatisticsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STATISTICS
-    except OSError as exc:  # e.g. a missing input file
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
-"""Run configuration: JSON schema, hashing, and bundled device presets.
+"""Run configuration: validation, hashing, and bundled device presets.
 
 A run config is one JSON document with sections device / pump /
-detectors / analysis plus a seed.  Unknown keys are rejected so a typo
-cannot silently fall back to a default.  Every output embeds the sha256
-hash of the canonical (sorted, minimal) JSON encoding, making runs
-reproducible from the config alone.
+detectors / analysis plus a seed.  The classes each section builds
+(LindbladModel, PumpSchedule, DetectorModel) own its keys and ranges, so
+an unknown key is rejected rather than silently falling back to a
+default.  Every output embeds the sha256 hash of the canonical (sorted,
+minimal) JSON encoding, making runs reproducible from the config alone.
 """
 import copy
 import hashlib
 import json
-
-import jsonschema
+import sys
 
 from .coupled import SystemParams
 from .errors import ConfigError
@@ -29,68 +29,6 @@ CAPTURE_RATE = 0.01
 REP_PERIOD_PS = 13000.0
 BACKGROUND_DETUNED = 0.14176 / REP_PERIOD_PS
 BACKGROUND_RESONANT = 0.0132 / REP_PERIOD_PS
-
-_NONNEG = {"type": "number", "minimum": 0}
-_POS = {"type": "number", "exclusiveMinimum": 0}
-
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["device"],
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "device": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["e_x", "e_c", "g", "gamma_x", "gamma_c"],
-            "properties": {
-                "e_x": _POS,
-                "e_c": _POS,
-                "g": _NONNEG,
-                "gamma_x": _POS,
-                "gamma_c": _POS,
-                "transfer": _NONNEG,
-                "pump_x": _NONNEG,
-                "feed_c": _NONNEG,
-                "dephasing": _NONNEG,
-            },
-        },
-        "pump": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["resonant_pulsed", "resonant_cw",
-                                  "above_band_pulsed"]},
-                "rep_period": _POS,
-                "excitation_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                "reservoir_mean": _NONNEG,
-                "capture_rate": _POS,
-                "background_feed_rate": _NONNEG,
-                "cw_pump_rate": _POS,
-            },
-        },
-        "detectors": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "efficiency": {"type": "number", "exclusiveMinimum": 0,
-                               "maximum": 1},
-                "jitter_sigma": _NONNEG,
-                "dead_time": _NONNEG,
-                "dark_count_rate": _NONNEG,
-            },
-        },
-        "analysis": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "bin_width_ps": _POS,
-                "window_ps": _POS,
-                "n_side": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
 
 _CAVITY_E = wavelength_to_energy(936.35)
 
@@ -142,13 +80,65 @@ PRESETS = {
 }
 
 
+#: the config sections built into objects, and the classes that check them
+_SECTIONS = {"device": LindbladModel, "pump": PumpSchedule,
+            "detectors": DetectorModel}
+
+
+def _field_error(path: str, what) -> ConfigError:
+    return ConfigError(f"config field {path}: {what}")
+
+
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)  # False for NaN and inf
+
+
 def validate_config(cfg: dict) -> dict:
-    """Schema-check a config; returns it unchanged on success."""
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}") from exc
+    """Check a config; returns it unchanged on success.
+
+    The seed is an int >= 0 and every section value but pump.mode a
+    finite number.  Keys, required fields and ranges of the device, pump
+    and detectors sections are checked by building their _SECTIONS
+    classes; e_x, e_c must also be > 0.  The analysis section takes
+    bin_width_ps, window_ps > 0 and an integral n_side >= 1.
+    """
+    if not isinstance(cfg, dict):
+        raise _field_error("<root>", "expected an object")
+    unknown = sorted(set(cfg) - {"seed", "analysis", *_SECTIONS})
+    if unknown:
+        raise _field_error("<root>", f"unknown keys {unknown}")
+    if "device" not in cfg:
+        raise _field_error("<root>", "'device' is required")
+    seed = cfg.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise _field_error("seed", f"expected an integer >= 0, got {seed!r}")
+    for section in ("analysis", *_SECTIONS):
+        values = cfg.get(section, {})
+        if not isinstance(values, dict):
+            raise _field_error(section, "expected an object")
+        for key, value in values.items():
+            if (section, key) != ("pump", "mode") and not _finite_number(value):
+                raise _field_error(f"{section}.{key}",
+                                   f"expected a finite number, got {value!r}")
+    for key in ("e_x", "e_c"):
+        if cfg["device"].get(key, 1.0) <= 0:
+            raise _field_error(f"device.{key}", "must be > 0")
+    for section, cls in _SECTIONS.items():
+        try:
+            cls(**cfg.get(section, {}))
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise _field_error(section, exc) from None
+    analysis = cfg.get("analysis", {})
+    unknown = sorted(set(analysis) - set(DEFAULT_CONFIG["analysis"]))
+    if unknown:
+        raise _field_error("analysis", f"unknown keys {unknown}")
+    for key in ("bin_width_ps", "window_ps"):
+        if analysis.get(key, 1.0) <= 0:
+            raise _field_error(f"analysis.{key}", "must be > 0")
+    n_side = analysis.get("n_side", 1)
+    if n_side < 1 or n_side % 1:
+        raise _field_error("analysis.n_side", "must be an integer >= 1")
     return cfg
 
 
@@ -167,17 +157,12 @@ def load_config(path) -> dict:
     return validate_config(cfg)
 
 
-def build_system(cfg: dict) -> SystemParams:
-    d = cfg["device"]
-    return SystemParams(e_x=d["e_x"], e_c=d["e_c"], gamma_x=d["gamma_x"],
-                        gamma_c=d["gamma_c"], g=d["g"])
-
-
 def build_model(cfg: dict) -> LindbladModel:
-    d = cfg["device"]
-    extra = {k: d[k] for k in ("transfer", "pump_x", "feed_c", "dephasing")
-             if k in d}
-    return LindbladModel.from_system(build_system(cfg), **extra)
+    return LindbladModel(**cfg["device"])
+
+
+def build_system(cfg: dict) -> SystemParams:
+    return build_model(cfg).system
 
 
 def build_pump(cfg: dict) -> PumpSchedule:

@@ -12,15 +12,18 @@ import numpy as np
 def pair_histogram(a, b, window, bin_width, exclude_self=False):
     """All-pairs delay histogram of t_b - t_a within +/- window.
 
-    Inputs must be sorted ascending.  Bins are centered on multiples of
-    bin_width: n_half = round(window / bin_width) bins each side plus the
-    zero bin.  With exclude_self, the len(a) self pairs are removed from
-    the zero bin (use for autocorrelation, where a and b are one array).
+    Inputs must be finite and sorted ascending.  Bins are centered on
+    multiples of bin_width: n_half = round(window / bin_width) bins each
+    side plus the zero bin.  With exclude_self, the len(a) self pairs are
+    removed from the zero bin (use for autocorrelation, where a and b are
+    one array).
     """
     if bin_width <= 0 or window <= 0:
         raise ValueError("window and bin_width must be positive")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("times must be finite")
     n_half = int(round(window / bin_width))
     edge = (n_half + 0.5) * bin_width
     n_bins = 2 * n_half + 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cqedkit
-from cqedkit import cli, clickio, config, coupled, specfit
+from cqedkit import cli, clickio, config, coupled, errors, specfit
 from cqedkit.units import HC_UEV_NM, wavelength_to_energy
 
 
@@ -105,6 +105,34 @@ def test_correlate_insufficient_statistics(tmp_path, capsys):
     assert not (tmp_path / "histogram.csv").exists()
 
 
+def test_correlate_dark_subtraction_contradicting_counts(tmp_path, capsys):
+    # darks make up 90% of the clicks and land in no coincidence peak, so
+    # their expected accidentals exceed the measured counts
+    cfg = json.loads(json.dumps(config.DEFAULT_CONFIG))
+    cfg["detectors"] = {"dark_count_rate": 9 / config.REP_PERIOD_PS}
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps(cfg))
+    run(capsys, "--out-dir", str(tmp_path), "simulate", "--config", str(path),
+        "--pulses", "1000")
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), "correlate",
+                         str(tmp_path / "clicks.csv"), "--dark-subtract")
+    assert code == cli.EXIT_STATISTICS
+    assert out == ""
+    assert err.startswith("error: dark subtraction") and err.count("\n") == 1
+    assert not (tmp_path / "histogram.csv").exists()
+
+
+def test_every_toolkit_error_has_an_exit_code():
+    classes, todo = [], [errors.CqedError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo += cls.__subclasses__()
+    for cls in classes[1:]:
+        codes = [cli.EXIT_CODES[c] for c in cls.__mro__ if c in cli.EXIT_CODES]
+        assert codes and codes[0] in (2, 3, 4), cls
+
+
 def test_correlate_window_too_small_is_config_error(tmp_path, capsys):
     run(capsys, "--out-dir", str(tmp_path), "simulate", "--pulses", "200")
     code, out, err = run(capsys, "--out-dir", str(tmp_path), "correlate",
@@ -136,6 +164,11 @@ def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
         "import sys, cqedkit.cli as c; "
         f"assert c.main(['fit', *{spectra!r}]) == 0; "
         f"sys.exit({no_scipy})",
+        # configs are checked by the classes they build, not by jsonschema
+        "import sys, cqedkit.cli as c; "
+        f"o = ['--out-dir', {str(tmp_path)!r}]; "
+        "assert c.main(o + ['simulate', '--pulses', '200']) == 0; "
+        "sys.exit(any(m.split('.')[0] == 'jsonschema' for m in sys.modules))",
     ]
     for code in cases:
         done = subprocess.run([sys.executable, "-c", code], env=env,
@@ -186,12 +219,19 @@ def test_correlate_bad_click_file_is_config_error(tmp_path, capsys, corrupt):
     pytest.param("936.0,1.0\n936.1,1.0,2.0\n", "line 4: ", id="three_fields"),
     pytest.param("936.1,1.0\n936.0,1.0\n", "strictly increasing",
                  id="unsorted"),
+    # a well-formed file with the twin's tag: rejected before any fit
+    pytest.param("936.0,1.0\n936.1,2.0\n", "twin.csv are both tagged 10.0 K",
+                 id="repeated_tag"),
 ])
 def test_fit_bad_spectrum_is_config_error(tmp_path, capsys, rows, message):
+    header = "# temperature_K=10.0\nwavelength_nm,intensity\n"
     bad = tmp_path / "bad.csv"
-    bad.write_text("# temperature_K=10.0\nwavelength_nm,intensity\n" + rows)
+    bad.write_text(header + rows)
+    twin = tmp_path / "twin.csv"
+    twin.write_text(header + "936.0,1.0\n936.1,2.0\n")
     out_dir = tmp_path / "out"
-    code, out, err = run(capsys, "--out-dir", str(out_dir), "fit", str(bad))
+    code, out, err = run(capsys, "--out-dir", str(out_dir), "fit", str(bad),
+                         str(twin))
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -92,3 +92,102 @@ def test_analysis_defaults_without_section():
     assert ((args.bin, args.window, args.n_side, args.rep_period)
             == (params["bin_width_ps"], params["window_ps"], params["n_side"],
                 config.REP_PERIOD_PS))
+
+
+def test_preset_hashes_are_stable():
+    # every output embeds these; a change here changes every output's bytes
+    assert {name: config.config_hash(cfg)
+            for name, cfg in config.PRESETS.items()} == {
+        "default": "1b3d12255e445533",
+        "single-photon-detuned": "46c4bfc494f3220e",
+        "single-photon-resonant": "da9559491b81f69d",
+    }
+
+
+DELETE = object()
+
+BAD_CONFIGS = [
+    # (keys to the field, value or DELETE, field named, text in the message)
+    pytest.param(("detector",), {}, "<root>", "detector", id="unknown_top_key"),
+    pytest.param(("device",), DELETE, "<root>", "device", id="missing_device"),
+    pytest.param(("pump",), None, "pump", "object", id="section_not_object"),
+    pytest.param(("device", "gama_c"), 85.0, "device", "gama_c",
+                 id="unknown_section_key"),
+    pytest.param(("analysis", "bins"), 10, "analysis", "bins",
+                 id="unknown_analysis_key"),
+    pytest.param(("device", "g"), DELETE, "device", "'g'", id="missing_g"),
+    pytest.param(("device", "gamma_c"), -85.0, "device", "gamma_c",
+                 id="negative_gamma_c"),
+    pytest.param(("device", "e_x"), 0.0, "device.e_x", "> 0", id="zero_e_x"),
+    pytest.param(("pump", "mode"), "sideways", "pump", "sideways",
+                 id="unknown_pump_mode"),
+    pytest.param(("pump", "excitation_prob"), 1.5, "pump", "excitation_prob",
+                 id="excitation_prob_above_1"),
+    pytest.param(("detectors", "efficiency"), 0, "detectors", "efficiency",
+                 id="zero_efficiency"),
+    pytest.param(("device", "g"), True, "device.g", "True", id="bool_number"),
+    pytest.param(("pump", "rep_period"), "13000", "pump.rep_period", "'13000'",
+                 id="string_number"),
+    pytest.param(("analysis", "n_side"), 0, "analysis.n_side", ">= 1",
+                 id="zero_n_side"),
+    pytest.param(("analysis", "n_side"), 6.5, "analysis.n_side", "integer",
+                 id="fractional_n_side"),
+    pytest.param(("seed",), 5.0, "seed", "5.0", id="float_seed"),
+    pytest.param(("seed",), -1, "seed", "-1", id="negative_seed"),
+] + [
+    pytest.param((section, key), value, f"{section}.{key}", "finite",
+                 id=f"{section}_{value}")
+    for section, key in (("device", "g"), ("pump", "rep_period"),
+                         ("detectors", "dark_count_rate"),
+                         ("analysis", "window_ps"))
+    for value in (float("nan"), float("inf"), float("-inf"))
+]
+
+
+@pytest.mark.parametrize("keys, value, field, text", BAD_CONFIGS)
+def test_bad_config_file_exits_2_naming_the_field(tmp_path, capsys, keys,
+                                                  value, field, text):
+    cfg = copy.deepcopy(config.DEFAULT_CONFIG)
+    *parents, last = keys
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity as JSON extensions
+    code = cli.main(["eigen", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"error: config field {field}: ")
+    assert err.count("\n") == 1 and text in err
+
+
+def test_seed_override_is_validated(tmp_path, capsys):
+    code = cli.main(["--out-dir", str(tmp_path), "--seed=-1", "simulate",
+                     "--pulses", "100"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: config field seed: ") and err.count("\n") == 1
+    assert not (tmp_path / "clicks.csv").exists()
+
+
+def test_finite_configs_still_accepted():
+    cfg = copy.deepcopy(config.DEFAULT_CONFIG)
+    # ints where floats are usual, an integral n_side, every optional field
+    cfg["device"].update(gamma_c=85, transfer=0, pump_x=0, feed_c=0,
+                         dephasing=0)
+    cfg["pump"] = {"mode": "resonant_cw", "rep_period": 13000,
+                   "excitation_prob": 0, "reservoir_mean": 0.5,
+                   "capture_rate": 1, "background_feed_rate": 0,
+                   "cw_pump_rate": 1e-3}
+    cfg["detectors"] = {"efficiency": 1, "jitter_sigma": 25.0,
+                        "dead_time": 0, "dark_count_rate": 1e-9}
+    cfg["analysis"] = {"bin_width_ps": 1, "window_ps": 1e5, "n_side": 6.0}
+    assert config.validate_config(cfg) is cfg
+    seedless = {"device": cfg["device"]}
+    assert config.validate_config(seedless) is seedless

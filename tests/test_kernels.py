@@ -70,3 +70,8 @@ def test_invalid_arguments():
         kernels.pair_histogram(t, t, -1.0, 10.0)
     with pytest.raises(ValueError):
         kernels.pair_histogram(t, t, 100.0, 0.0)
+    # a NaN or inf time would be cast to an arbitrary int64 bin
+    with pytest.raises(ValueError, match="finite"):
+        kernels.pair_histogram(t, np.array([0.0, np.nan]), 100.0, 10.0)
+    with pytest.raises(ValueError, match="finite"):
+        kernels.pair_histogram(np.array([0.0, np.inf]), t, 100.0, 10.0)
