@@ -6,11 +6,12 @@ correlate (histograms and g2 estimates), fit (spectral fitting and
 coupling extraction), demo-paper (end-to-end reproduction of the
 headline numbers).
 
-Exit codes: 0 success, 2 configuration error or unreadable file, 3
+Exit codes: 0 success, 2 configuration or flag error or unreadable file, 3
 numerical non-convergence, 4 insufficient statistics or a dark
 subtraction that contradicts the counts.
 """
 import argparse
+import math
 import os
 import sys
 
@@ -37,6 +38,12 @@ EXIT_CODES = {
     MiscalibrationError: EXIT_STATISTICS,
 }
 
+#: HBT analysis defaults of the paper's pulsed g2(0) (Fig. 4): 130 ps
+#: bins, a +/-6.5-period window and six side peaks per side
+BIN_WIDTH_PS = 130.0
+WINDOW_PS = 6.5 * cfgmod.REP_PERIOD_PS
+N_SIDE = 6
+
 
 def _load_config(args) -> dict:
     if args.config:
@@ -57,18 +64,17 @@ def cmd_eigen(args) -> int:
     cfg = _load_config(args)
     p = cfgmod.build_system(cfg)
     pair = coupled.eigen_energies(p)
-    sc = coupled.is_strongly_coupled(p)
+    fom = coupled.figures_of_merit(p.g, p.gamma_c, p.gamma_x)
     fields = {
         "config_hash": cfgmod.config_hash(cfg),
         "e_upper_ueV": pair.upper.real,
         "e_lower_ueV": pair.lower.real,
         "fwhm_upper_ueV": 2 * abs(pair.upper.imag),
         "fwhm_lower_ueV": 2 * abs(pair.lower.imag),
-        "strong_coupling": sc,
+        "strong_coupling": fom.strongly_coupled,
     }
-    if sc:
-        fields["splitting_ueV"] = coupled.vacuum_rabi_splitting(p)
-    fom = coupled.figures_of_merit(p.g, p.gamma_c, p.gamma_x)
+    if fom.strongly_coupled:
+        fields["splitting_ueV"] = fom.rabi_splitting
     fields.update(purcell_factor=fom.purcell,
                   quantum_efficiency=fom.efficiency,
                   g_over_gamma_c=p.g / p.gamma_c,
@@ -81,6 +87,10 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     p = cfgmod.build_system(cfg)
     calib = specfit.TuningCalibration(resonance_temp=args.resonance_temp)
+    if not calib.t_min <= args.t_min <= args.t_max <= calib.t_max:
+        raise ConfigError(
+            f"--t-min {args.t_min} and --t-max {args.t_max} must satisfy "
+            f"{calib.t_min} <= t_min <= t_max <= {calib.t_max} K")
     temps = np.arange(args.t_min, args.t_max + 1e-9, args.t_step)
     rows = []
     for t in temps:
@@ -106,7 +116,7 @@ def cmd_simulate(args) -> int:
     pump = cfgmod.build_pump(cfg)
     det = cfgmod.build_detectors(cfg)
     duration = args.pulses * pump.rep_period if args.pulses else args.duration
-    if not duration or duration <= 0:
+    if duration is None:
         raise ConfigError("give --duration or --pulses")
     stream = trajectory.simulate_stream(model, pump, det, duration,
                                         cfg.get("seed", 0),
@@ -245,12 +255,10 @@ def cmd_demo_paper(args) -> int:
 
         stage = "photon statistics"
         rep = cfgmod.REP_PERIOD_PS
-        ana = cfgmod.analysis_params(cfg)
 
         def g2(stream, channels):
-            h = _histogram([stream], channels, ana["window_ps"],
-                           ana["bin_width_ps"])
-            return hbt.pulsed_g2_zero(h, rep, n_side=ana["n_side"]).value
+            h = _histogram([stream], channels, WINDOW_PS, BIN_WIDTH_PS)
+            return hbt.pulsed_g2_zero(h, rep, n_side=N_SIDE).value
 
         n_pulses = args.pulses
         det_cfg = cfgmod.validate_config(cfgmod.FIG4_DETUNED_CONFIG)
@@ -293,6 +301,21 @@ def cmd_demo_paper(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _number(kind=float, allow_zero=False):
+    """argparse type of a finite `kind` > 0 (>= 0 with allow_zero); a bad
+    value makes argparse exit 2 naming the flag."""
+    def parse(text):
+        value = kind(text)
+        above = value >= 0 if allow_zero else value > 0  # False for NaN
+        if not (above and value < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {'>=' if allow_zero else '>'} 0, "
+                f"got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid float value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cqedkit",
@@ -315,15 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     with_config(sp)
     sp.add_argument("--t-min", type=float, default=6.0)
     sp.add_argument("--t-max", type=float, default=16.0)
-    sp.add_argument("--t-step", type=float, default=0.25)
-    sp.add_argument("--resonance-temp", type=float, default=10.5)
+    sp.add_argument("--t-step", type=_number(), default=0.25)
+    sp.add_argument("--resonance-temp", type=_number(), default=10.5)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("simulate", help="generate a click stream")
     with_config(sp)
-    sp.add_argument("--duration", type=float, default=None,
+    sp.add_argument("--duration", type=_number(), default=None,
                     help="acquisition time in ps")
-    sp.add_argument("--pulses", type=int, default=None,
+    sp.add_argument("--pulses", type=_number(int), default=None,
                     help="number of excitation pulses (alternative to --duration)")
     sp.add_argument("--name", default="clicks.csv")
     sp.set_defaults(func=cmd_simulate)
@@ -332,25 +355,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("files", nargs="+", help="click stream files")
     sp.add_argument("--channels", default="C",
                     help="one channel (auto) or two comma-separated (cross)")
-    ana = cfgmod.analysis_params(cfgmod.DEFAULT_CONFIG)
-    sp.add_argument("--bin", type=float, default=ana["bin_width_ps"],
+    sp.add_argument("--bin", type=_number(), default=BIN_WIDTH_PS,
                     help="bin width, ps")
-    sp.add_argument("--window", type=float, default=ana["window_ps"],
+    sp.add_argument("--window", type=_number(), default=WINDOW_PS,
                     help="correlation window, ps")
-    sp.add_argument("--rep-period", type=float, default=cfgmod.REP_PERIOD_PS)
-    sp.add_argument("--n-side", type=int, default=ana["n_side"])
+    sp.add_argument("--rep-period", type=_number(),
+                    default=cfgmod.REP_PERIOD_PS)
+    sp.add_argument("--n-side", type=_number(int), default=N_SIDE)
     sp.add_argument("--dark-subtract", action="store_true")
     sp.set_defaults(func=cmd_correlate)
 
     sp = sub.add_parser("fit", help="fit spectra, extract coupling")
     sp.add_argument("files", nargs="+", help="spectrum CSV files")
-    sp.add_argument("--noise-fraction", type=float, default=0.0,
+    sp.add_argument("--noise-fraction", type=_number(allow_zero=True),
+                    default=0.0,
                     help="relative intensity noise for weighting")
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("demo-paper",
                         help="reproduce the headline numbers end to end")
-    sp.add_argument("--pulses", type=int, default=60000,
+    sp.add_argument("--pulses", type=_number(int), default=60000,
                     help="pulses per simulated correlation run")
     sp.set_defaults(func=cmd_demo_paper)
     return ap

@@ -1,11 +1,13 @@
 """Run configuration: validation, hashing, and bundled device presets.
 
 A run config is one JSON document with sections device / pump /
-detectors / analysis plus a seed.  The classes each section builds
+detectors plus a seed.  The classes each section builds
 (LindbladModel, PumpSchedule, DetectorModel) own its keys and ranges, so
 an unknown key is rejected rather than silently falling back to a
 default.  Every output embeds the sha256 hash of the canonical (sorted,
 minimal) JSON encoding, making runs reproducible from the config alone.
+The HBT analysis settings (bin width, window, side peaks) are not config:
+they are flags of the correlate command (cli.py).
 """
 import copy
 import hashlib
@@ -48,9 +50,6 @@ DEFAULT_CONFIG = {
         "excitation_prob": 1.0,
     },
     "detectors": {},
-    # the one source of the analysis defaults (correlate, demo-paper)
-    "analysis": {"bin_width_ps": 130.0, "window_ps": 6.5 * REP_PERIOD_PS,
-                 "n_side": 6},
 }
 
 #: single-photon operating point: exciton detuned 0.4 nm, calibrated
@@ -100,12 +99,11 @@ def validate_config(cfg: dict) -> dict:
     The seed is an int >= 0 and every section value but pump.mode a
     finite number.  Keys, required fields and ranges of the device, pump
     and detectors sections are checked by building their _SECTIONS
-    classes; e_x, e_c must also be > 0.  The analysis section takes
-    bin_width_ps, window_ps > 0 and an integral n_side >= 1.
+    classes; e_x, e_c must also be > 0.
     """
     if not isinstance(cfg, dict):
         raise _field_error("<root>", "expected an object")
-    unknown = sorted(set(cfg) - {"seed", "analysis", *_SECTIONS})
+    unknown = sorted(set(cfg) - {"seed", *_SECTIONS})
     if unknown:
         raise _field_error("<root>", f"unknown keys {unknown}")
     if "device" not in cfg:
@@ -113,7 +111,7 @@ def validate_config(cfg: dict) -> dict:
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise _field_error("seed", f"expected an integer >= 0, got {seed!r}")
-    for section in ("analysis", *_SECTIONS):
+    for section in _SECTIONS:
         values = cfg.get(section, {})
         if not isinstance(values, dict):
             raise _field_error(section, "expected an object")
@@ -129,16 +127,6 @@ def validate_config(cfg: dict) -> dict:
             cls(**cfg.get(section, {}))
         except (TypeError, ValueError, ConfigError) as exc:
             raise _field_error(section, exc) from None
-    analysis = cfg.get("analysis", {})
-    unknown = sorted(set(analysis) - set(DEFAULT_CONFIG["analysis"]))
-    if unknown:
-        raise _field_error("analysis", f"unknown keys {unknown}")
-    for key in ("bin_width_ps", "window_ps"):
-        if analysis.get(key, 1.0) <= 0:
-            raise _field_error(f"analysis.{key}", "must be > 0")
-    n_side = analysis.get("n_side", 1)
-    if n_side < 1 or n_side % 1:
-        raise _field_error("analysis.n_side", "must be an integer >= 1")
     return cfg
 
 
@@ -171,8 +159,3 @@ def build_pump(cfg: dict) -> PumpSchedule:
 
 def build_detectors(cfg: dict) -> DetectorModel:
     return DetectorModel(**cfg.get("detectors", {}))
-
-
-def analysis_params(cfg: dict) -> dict:
-    """The config's analysis section over DEFAULT_CONFIG's."""
-    return {**DEFAULT_CONFIG["analysis"], **cfg.get("analysis", {})}

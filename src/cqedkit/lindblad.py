@@ -85,11 +85,6 @@ class Operators:
         rho[idx, idx] = 1.0
         return rho
 
-    def vacuum(self) -> np.ndarray:
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
-
 
 def _vec(rho: np.ndarray) -> np.ndarray:
     return rho.flatten(order="F")
@@ -156,10 +151,6 @@ class _Propagator:
         import scipy.linalg
         return scipy.linalg.lu_solve(self._lu, vec)
 
-    def apply_exp(self, vec: np.ndarray, t: float) -> np.ndarray:
-        c = self.coeffs(vec)
-        return self.evecs @ (c * np.exp(self.evals * t))
-
 
 def _check_cutoff(rho: np.ndarray, ops: Operators):
     """Error out if the top Fock level carries non-negligible weight."""
@@ -182,10 +173,10 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_grid,
         raise ValueError("t_grid must be strictly increasing")
     prop = _Propagator(model, n_max)
     dim = prop.ops.dim
-    v0 = _vec(np.asarray(rho0, dtype=complex))
+    coef = prop.coeffs(_vec(np.asarray(rho0, dtype=complex)))
     out = np.empty((len(t_grid), dim, dim), dtype=complex)
     for i, t in enumerate(t_grid):
-        rho = _unvec(prop.apply_exp(v0, t), dim)
+        rho = _unvec(prop.evecs @ (coef * np.exp(prop.evals * t)), dim)
         rho = 0.5 * (rho + rho.conj().T)
         drift = abs(np.trace(rho).real - 1.0)
         if drift > 1e-8:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coupled
-from .errors import AnticrossingError, NoSignalError
+from .errors import (AnticrossingError, InsufficientStatisticsError,
+                     NoSignalError)
 from .units import HC_UEV_NM, local_energy_per_nm, wavelength_to_energy
 
 MAX_ITERATIONS = 200
@@ -311,6 +312,10 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
     means "narrower than the grid resolves".
     """
     lam, y = s.wavelength_nm, s.intensity
+    if len(lam) < 8:
+        raise InsufficientStatisticsError(
+            f"{len(lam)} spectrum samples cannot fix the 7 fit parameters; "
+            f"need at least 8")
     if seed is None:
         seed = initial_guess(s)
     seed = np.asarray(seed, dtype=float)
@@ -334,7 +339,7 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
         ftol=1e-10, xtol=1e-12, gtol=1e-8, max_nfev=MAX_ITERATIONS * 3)
     converged = bool(status > 0 and max(p[2], p[5]) < hi[2])
 
-    dof = max(len(lam) - 7, 1)
+    dof = len(lam) - 7
     variance = (r @ r) / dof
     cov = variance * np.linalg.pinv(jac.T @ jac)
 

@@ -234,28 +234,20 @@ def _pulsed_emissions(model, pump, duration, rng):
     times, channels = [], []
     # offset of the current excitation cycle within each pulse window
     offset = np.zeros(n_pulses)
-    active = excited.copy()
     pending = reservoir.copy()
-    # pulses that start unexcited go straight to capture from the reservoir
-    first_capture = ~excited & (pending > 0)
+    idx = np.flatnonzero(excited)
     while True:
-        if np.any(active):
-            idx = np.flatnonzero(active)
+        if len(idx):
             delay, chan = prop.sample_emissions(rng, len(idx))
-            emit_t = pulse_t[idx] + offset[idx] + delay
-            times.append(emit_t)
+            times.append(pulse_t[idx] + offset[idx] + delay)
             channels.append(chan)
             offset[idx] += delay
-            active[:] = False
-            first_capture[idx] = pending[idx] > 0
-        if not np.any(first_capture):
+        # every pulse with carriers left captures one, then emits again
+        idx = np.flatnonzero(pending)
+        if not len(idx):
             break
-        idx = np.flatnonzero(first_capture)
-        wait = rng.exponential(1.0 / (pending[idx] * pump.capture_rate))
-        offset[idx] += wait
+        offset[idx] += rng.exponential(1.0 / (pending[idx] * pump.capture_rate))
         pending[idx] -= 1
-        active[idx] = True
-        first_capture[:] = False
     if not times:
         return np.empty(0), np.empty(0, dtype=int)
     return np.concatenate(times), np.concatenate(channels)

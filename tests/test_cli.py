@@ -240,15 +240,90 @@ def test_fit_bad_spectrum_is_config_error(tmp_path, capsys, rows, message):
 
 
 def test_simulate_golden_bytes(tmp_path, capsys):
-    # sha256 of the click file as the 80-step bisection sampler wrote it;
-    # the log-survival table and Newton steps must write the same bytes
+    # sha256 of the click rows as the 80-step bisection sampler wrote them;
+    # the log-survival table and Newton steps must write the same bytes.
+    # The header carries the preset's config hash.
     code, _, _ = run(capsys, "--out-dir", str(tmp_path), "--seed", "5",
                      "simulate", "--preset", "single-photon-detuned",
                      "--pulses", "2000")
     assert code == 0
-    digest = hashlib.sha256((tmp_path / "clicks.csv").read_bytes()).hexdigest()
-    assert digest == ("143dc30d9d92c871591d4a62b814d16c"
-                      "95909b535fb535f8d9d2e44ccb0a700b")
+    header, _, rows = (tmp_path / "clicks.csv").read_bytes().partition(b"\n")
+    assert hashlib.sha256(rows).hexdigest() == (
+        "1078a9fd4e3c39b5a0ab0d63e8c4dc98cb9d9af6740861175fb84d7acb4aeaa0")
+    assert header == (b"#cqed-click-v1 seed=5 duration_ps=26000000.0 "
+                      b"confighash=492489c9edc257fe")
+
+
+BAD_FLAGS = {
+    # id: (command line, text on stderr); {clicks} and {spec} are input
+    # files.  argparse names a flag it rejects as "argument --flag: ..."
+    "bin_0": ("correlate {clicks} --bin=0", "argument --bin"),
+    "bin_negative": ("correlate {clicks} --bin=-5", "argument --bin"),
+    "bin_inf": ("correlate {clicks} --bin=inf", "argument --bin"),
+    "window_nan": ("correlate {clicks} --window=nan", "argument --window"),
+    "window_inf": ("correlate {clicks} --window=inf", "argument --window"),
+    "window_-inf": ("correlate {clicks} --window=-inf", "argument --window"),
+    "n_side_0": ("correlate {clicks} --n-side=0", "argument --n-side"),
+    "n_side_fractional": ("correlate {clicks} --n-side=6.5",
+                          "argument --n-side"),
+    "rep_period_0": ("correlate {clicks} --rep-period=0",
+                     "argument --rep-period"),
+    "rep_period_nan": ("correlate {clicks} --rep-period=nan",
+                       "argument --rep-period"),
+    "duration_nan": ("simulate --duration=nan", "argument --duration"),
+    "pulses_negative": ("simulate --pulses=-3", "argument --pulses"),
+    "t_step_0": ("sweep --t-step=0", "argument --t-step"),
+    "t_step_negative": ("sweep --t-step=-1", "argument --t-step"),
+    "t_min_above_t_max": ("sweep --t-min=12 --t-max=8",
+                          "6.0 <= t_min <= t_max <= 40.0 K"),
+    "t_min_nan": ("sweep --t-min=nan", "--t-min nan"),
+    "t_min_below_range": ("sweep --t-min=2", "--t-min 2.0"),
+    "t_max_above_range": ("sweep --t-max=50", "--t-max 50.0"),
+    "resonance_temp_nan": ("sweep --resonance-temp=nan",
+                           "argument --resonance-temp"),
+    "noise_fraction_negative": ("fit {spec} --noise-fraction=-1",
+                                "argument --noise-fraction"),
+    "noise_fraction_nan": ("fit {spec} --noise-fraction=nan",
+                           "argument --noise-fraction"),
+    "demo_pulses_0": ("demo-paper --pulses=0", "argument --pulses"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FLAGS)
+def test_bad_flag_exits_2_naming_it(tmp_path, capsys, case):
+    argv, text = BAD_FLAGS[case]
+    run(capsys, "--out-dir", str(tmp_path), "simulate", "--pulses", "1000")
+    spec, = write_series(tmp_path, [10.0])
+    files = {"clicks": tmp_path / "clicks.csv", "spec": spec}
+    out_dir = tmp_path / "out"
+    try:
+        code = cli.main(["--out-dir", str(out_dir),
+                         *(a.format(**files) for a in argv.split())])
+    except SystemExit as exc:  # argparse rejected the flag
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert text in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param("", id="header_only"),
+    pytest.param("936.0,1.0\n936.1,2.0\n936.2,1.0\n", id="three_points"),
+])
+@pytest.mark.parametrize("tag", ["", "# temperature_K=10.0\n"],
+                         ids=["untagged", "tagged"])
+def test_fit_underdetermined_spectrum_is_statistics_error(tmp_path, capsys,
+                                                          rows, tag):
+    # fewer samples than the 7 fit parameters plus one: no fit to report
+    path = tmp_path / "few.csv"
+    path.write_text(tag + "wavelength_nm,intensity\n" + rows)
+    code, out, err = run(capsys, "fit", str(path))
+    assert code == cli.EXIT_STATISTICS
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "at least 8" in err
 
 
 def test_invalid_config_file_exit_code(tmp_path, capsys):

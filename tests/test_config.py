@@ -77,30 +77,22 @@ def test_builders_map_fields():
     pump = config.build_pump(cfg)
     assert pump.reservoir_mean == config.RESERVOIR_MEAN
     assert pump.background_feed_rate == config.BACKGROUND_DETUNED
-    params = config.analysis_params(cfg)
-    assert params["bin_width_ps"] == 130.0
-    assert params["n_side"] == 6
 
 
 def test_analysis_defaults_without_section():
-    cfg = {"device": dict(config.DEFAULT_CONFIG["device"])}
-    config.validate_config(cfg)
-    params = config.analysis_params(cfg)
-    assert params["window_ps"] == 6.5 * config.REP_PERIOD_PS
-    # the correlate command's defaults are the same numbers
+    # the paper's HBT settings are correlate's flag defaults, not config
     args = cli.build_parser().parse_args(["correlate", "clicks.csv"])
     assert ((args.bin, args.window, args.n_side, args.rep_period)
-            == (params["bin_width_ps"], params["window_ps"], params["n_side"],
-                config.REP_PERIOD_PS))
+            == (130.0, 84500.0, 6, 13000.0))
 
 
 def test_preset_hashes_are_stable():
     # every output embeds these; a change here changes every output's bytes
     assert {name: config.config_hash(cfg)
             for name, cfg in config.PRESETS.items()} == {
-        "default": "1b3d12255e445533",
-        "single-photon-detuned": "46c4bfc494f3220e",
-        "single-photon-resonant": "da9559491b81f69d",
+        "default": "2a60c40cbe2831dc",
+        "single-photon-detuned": "bd063c4ee1902df0",
+        "single-photon-resonant": "21c1102d4e78314a",
     }
 
 
@@ -113,8 +105,9 @@ BAD_CONFIGS = [
     pytest.param(("pump",), None, "pump", "object", id="section_not_object"),
     pytest.param(("device", "gama_c"), 85.0, "device", "gama_c",
                  id="unknown_section_key"),
-    pytest.param(("analysis", "bins"), 10, "analysis", "bins",
-                 id="unknown_analysis_key"),
+    # the analysis settings are correlate's flags, not a config section
+    pytest.param(("analysis",), {"bin_width_ps": 130.0}, "<root>",
+                 "['analysis']", id="unknown_analysis_key"),
     pytest.param(("device", "g"), DELETE, "device", "'g'", id="missing_g"),
     pytest.param(("device", "gamma_c"), -85.0, "device", "gamma_c",
                  id="negative_gamma_c"),
@@ -128,18 +121,13 @@ BAD_CONFIGS = [
     pytest.param(("device", "g"), True, "device.g", "True", id="bool_number"),
     pytest.param(("pump", "rep_period"), "13000", "pump.rep_period", "'13000'",
                  id="string_number"),
-    pytest.param(("analysis", "n_side"), 0, "analysis.n_side", ">= 1",
-                 id="zero_n_side"),
-    pytest.param(("analysis", "n_side"), 6.5, "analysis.n_side", "integer",
-                 id="fractional_n_side"),
     pytest.param(("seed",), 5.0, "seed", "5.0", id="float_seed"),
     pytest.param(("seed",), -1, "seed", "-1", id="negative_seed"),
 ] + [
     pytest.param((section, key), value, f"{section}.{key}", "finite",
                  id=f"{section}_{value}")
     for section, key in (("device", "g"), ("pump", "rep_period"),
-                         ("detectors", "dark_count_rate"),
-                         ("analysis", "window_ps"))
+                         ("detectors", "dark_count_rate"))
     for value in (float("nan"), float("inf"), float("-inf"))
 ]
 
@@ -178,7 +166,7 @@ def test_seed_override_is_validated(tmp_path, capsys):
 
 def test_finite_configs_still_accepted():
     cfg = copy.deepcopy(config.DEFAULT_CONFIG)
-    # ints where floats are usual, an integral n_side, every optional field
+    # ints where floats are usual, every optional field
     cfg["device"].update(gamma_c=85, transfer=0, pump_x=0, feed_c=0,
                          dephasing=0)
     cfg["pump"] = {"mode": "resonant_cw", "rep_period": 13000,
@@ -187,7 +175,6 @@ def test_finite_configs_still_accepted():
                    "cw_pump_rate": 1e-3}
     cfg["detectors"] = {"efficiency": 1, "jitter_sigma": 25.0,
                         "dead_time": 0, "dark_count_rate": 1e-9}
-    cfg["analysis"] = {"bin_width_ps": 1, "window_ps": 1e5, "n_side": 6.0}
     assert config.validate_config(cfg) is cfg
     seedless = {"device": cfg["device"]}
     assert config.validate_config(seedless) is seedless
