@@ -11,7 +11,6 @@ numerical non-convergence, 4 insufficient statistics or a dark
 subtraction that contradicts the counts.
 """
 import argparse
-import math
 import os
 import sys
 
@@ -140,6 +139,9 @@ def _histogram(streams, channels, window, bin_width):
 
 
 def cmd_correlate(args) -> int:
+    if args.bin > args.window:
+        raise ConfigError(f"--bin {args.bin} ps is wider than "
+                          f"--window {args.window} ps")
     streams = [clickio.read_click_stream(f) for f in args.files]
     channels = args.channels.split(",")
     if len(channels) not in (1, 2):
@@ -307,7 +309,8 @@ def _number(kind=float, allow_zero=False):
     def parse(text):
         value = kind(text)
         above = value >= 0 if allow_zero else value > 0  # False for NaN
-        if not (above and value < math.inf):
+        # ints compare exactly, so one beyond the float range fails too
+        if not (above and value <= sys.float_info.max):
             raise argparse.ArgumentTypeError(
                 f"expected a finite number {'>=' if allow_zero else '>'} 0, "
                 f"got {text!r}")

@@ -71,23 +71,6 @@ class FiguresOfMerit:
     strongly_coupled: bool
 
 
-@dataclass(frozen=True)
-class AnticrossingCurve:
-    """Branch-continued complex energies over a detuning grid.
-
-    Branch "a" connects adiabatically across the sweep; in strong coupling
-    it switches character (exciton-like <-> cavity-like) at resonance.
-    """
-
-    detuning: np.ndarray
-    branch_a: np.ndarray
-    branch_b: np.ndarray
-
-    @property
-    def splitting(self) -> np.ndarray:
-        return np.abs(self.branch_a.real - self.branch_b.real)
-
-
 def mode_matrix(p: SystemParams) -> np.ndarray:
     """The 2x2 non-Hermitian mode matrix, exciton first."""
     return np.array(
@@ -190,11 +173,9 @@ def infer_bare_lifetime(measured_ps: float, detuning: float,
     """Bare exciton lifetime tau_x such that the coupled exciton branch
     lives exactly `measured_ps` at the given detuning.
 
-    Root-find over gamma_x in (0, gamma_c); the branch lifetime is
-    strictly monotone in gamma_x on that interval.
+    Bisect over gamma_x in (0, gamma_c), where the branch lifetime is
+    strictly monotone, until the midpoint equals an end.
     """
-    from scipy.optimize import brentq  # lazy: importing cqedkit loads no scipy
-
     if measured_ps <= 0:
         raise ValueError("measured lifetime must be positive")
     if g == 0:
@@ -207,8 +188,12 @@ def infer_bare_lifetime(measured_ps: float, detuning: float,
     lo, hi = 1e-12 * gamma_c, gamma_c * (1 - 1e-12)
     if mismatch(lo) < 0 or mismatch(hi) > 0:
         raise ValueError("no bare lifetime in (0, gamma_c) reproduces the measurement")
-    gamma_x = brentq(mismatch, lo, hi, xtol=1e-300, rtol=1e-14)
-    return HBAR_UEV_PS / gamma_x
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mismatch(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return HBAR_UEV_PS / mid
 
 
 def figures_of_merit(g: float, gamma_c: float, gamma_x: float) -> FiguresOfMerit:
@@ -222,46 +207,6 @@ def figures_of_merit(g: float, gamma_c: float, gamma_x: float) -> FiguresOfMerit
     sc = is_strongly_coupled(p)
     splitting = vacuum_rabi_splitting(p) if sc else None
     return FiguresOfMerit(purcell, eta, splitting, sc)
-
-
-def track_branches(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a stack of 2x2 matrices with adiabatic continuation.
-
-    Branch identity follows maximum eigenvector overlap with the previous
-    point; ties broken by real-part ordering.  Returns (branch_a, branch_b)
-    where branch_a starts as the upper (larger Re) branch.
-    """
-    vals, vecs = np.linalg.eig(matrices)
-    n = len(matrices)
-    a = np.empty(n, dtype=complex)
-    b = np.empty(n, dtype=complex)
-    order = np.argsort(-vals[0].real, kind="stable")
-    prev_vecs = vecs[0][:, order]
-    a[0], b[0] = vals[0][order]
-    for i in range(1, n):
-        v = vecs[i]
-        # overlap of previous branch-a vector with both current eigenvectors
-        ov_a = np.abs(prev_vecs[:, 0].conj() @ v) ** 2
-        ov_b = np.abs(prev_vecs[:, 1].conj() @ v) ** 2
-        keep = ov_a[0] + ov_b[1]
-        swap = ov_a[1] + ov_b[0]
-        if np.isclose(keep, swap):
-            order = np.argsort(-vals[i].real, kind="stable")
-        elif keep >= swap:
-            order = np.array([0, 1])
-        else:
-            order = np.array([1, 0])
-        a[i], b[i] = vals[i][order]
-        prev_vecs = v[:, order]
-    return a, b
-
-
-def detuning_sweep(p: SystemParams, delta_grid) -> AnticrossingCurve:
-    """Eigen-energies across a detuning grid with branch continuation."""
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    mats = np.array([mode_matrix(p.at_detuning(d)) for d in delta_grid])
-    a, b = track_branches(mats)
-    return AnticrossingCurve(delta_grid, a, b)
 
 
 def model_spectrum(p: SystemParams, wavelength_grid_nm, initial: str = "exciton"):

@@ -49,15 +49,6 @@ class G2Estimate:
     method: str
 
 
-@dataclass(frozen=True)
-class LifetimeFit:
-    tau: float
-    stderr: float
-    n_used: int
-    reduced_chi2: float
-    exponential: bool        # False when residuals look non-exponential
-
-
 def correlate(times_a, times_b=None, *, window: float, bin_width: float,
               duration: float) -> CorrelationHistogram:
     """All-pairs delay histogram t_b - t_a within +/- window.
@@ -142,45 +133,6 @@ def subtract_dark_counts(h: CorrelationHistogram,
             f"{int(bad.sum())} bins; check rate calibration")
     cleaned = np.maximum(h.counts - expected, 0.0)
     return replace(h, counts=cleaned)
-
-
-def first_click_delays(times, rep_period: float) -> np.ndarray:
-    """Delay after the pulse of the first click in each pulse window."""
-    times = np.asarray(times, dtype=float)
-    pulse = (times // rep_period).astype(np.int64)
-    _, first = np.unique(pulse, return_index=True)
-    return times[first] - pulse[first] * rep_period
-
-
-def fit_lifetime(delays, jitter_sigma: float = 0.0) -> LifetimeFit:
-    """Single-exponential maximum-likelihood decay fit.
-
-    Jitter is handled by fitting only the tail t > 3*jitter_sigma, where
-    the convolved exponential is again exponential.  For left-truncated
-    exponential samples the MLE is mean(t - t0).
-    """
-    delays = np.asarray(delays, dtype=float)
-    if len(delays) < 100:
-        raise InsufficientStatisticsError(
-            f"need >= 100 counts for a lifetime fit, got {len(delays)}")
-    t0 = 3.0 * jitter_sigma
-    tail = delays[delays > t0]
-    if len(tail) < 100:
-        raise InsufficientStatisticsError("tail beyond 3 sigma of jitter too sparse")
-    tau = float(np.mean(tail - t0))
-    stderr = tau / np.sqrt(len(tail))
-
-    # goodness of fit: Poisson chi^2 against the fitted exponential
-    n_bins = max(int(np.sqrt(len(tail)) / 2), 8)
-    edges = np.linspace(t0, t0 + 6.0 * tau, n_bins + 1)
-    obs, _ = np.histogram(tail, bins=edges)
-    cdf = 1.0 - np.exp(-(edges - t0) / tau)
-    exp_counts = len(tail) * np.diff(cdf) / cdf[-1]
-    ok = exp_counts >= 5
-    chi2 = float(np.sum((obs[ok] - exp_counts[ok]) ** 2 / exp_counts[ok]))
-    dof = max(int(ok.sum()) - 2, 1)
-    red = chi2 / dof
-    return LifetimeFit(tau, stderr, len(tail), red, red <= 3.0)
 
 
 def per_pulse_counts(times, rep_period: float, duration: float) -> np.ndarray:

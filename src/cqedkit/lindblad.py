@@ -2,10 +2,10 @@
 
 Hilbert space: two-level exciton (g, e) tensor truncated Fock space of the
 cavity mode.  Energies in ueV, times in ps, rates in 1/ps.  The Liouvillian
-is diagonalized once per model; propagation, steady states, two-time
-correlations (quantum regression) and emission spectra all reuse the same
-eigendecomposition.  Dimensions are tiny (a handful of excitations), so
-dense linear algebra is the accuracy-first choice.
+is diagonalized once per model; propagation, steady states and two-time
+correlations (quantum regression) all reuse the same eigendecomposition.
+Dimensions are tiny (a handful of excitations), so dense linear algebra
+is the accuracy-first choice.
 """
 from dataclasses import dataclass, replace
 
@@ -138,18 +138,14 @@ class _Propagator:
     """
 
     def __init__(self, model: LindbladModel, n_max: int):
-        import scipy.linalg  # lazy: importing cqedkit loads no scipy
-
         self.ops = Operators(n_max)
         self.lv = liouvillian(model, self.ops)
-        self.evals, self.evecs = scipy.linalg.eig(self.lv)
-        # Liouvillian of a small system: eigenvectors are well conditioned,
-        # but solve rather than invert for the coefficients.
-        self._lu = scipy.linalg.lu_factor(self.evecs)
+        self.evals, self.evecs = np.linalg.eig(self.lv)
 
     def coeffs(self, vec: np.ndarray) -> np.ndarray:
-        import scipy.linalg
-        return scipy.linalg.lu_solve(self._lu, vec)
+        # Liouvillian of a small system: eigenvectors are well conditioned,
+        # but solve rather than invert for the coefficients.
+        return np.linalg.solve(self.evecs, vec)
 
 
 def _check_cutoff(rho: np.ndarray, ops: Operators):
@@ -248,43 +244,3 @@ def cw_g2(model: LindbladModel, tau_grid, channel: str = "C",
         g2[i] = (num_weights * coef * np.exp(prop.evals * tau)).sum().real / flux**2
     return g2
 
-
-def emission_spectrum(model: LindbladModel, energy_grid, channel: str = "C",
-                      n_max: int = 2, coverage_tol: float = 0.999):
-    """Emission spectrum of a channel after exciton excitation.
-
-    S(E) is the Fourier transform of the time-integrated first-order
-    correlation of the channel's lowering operator, evaluated in closed
-    form from the Liouvillian eigendecomposition and normalized to unit
-    area on the grid.  Raises if the grid captures < coverage_tol of the
-    total analytic area.
-    """
-    if model.pump_x > 0 or model.feed_c > 0:
-        raise ValueError("emission_spectrum assumes a decay-only model")
-    energy_grid = np.asarray(energy_grid, dtype=float)
-    prop = _Propagator(model, n_max)
-    ops = prop.ops
-    c = _channel_operator(ops, channel)
-
-    b = prop.coeffs(_vec(ops.exciton_excited()))
-    nonzero = np.abs(prop.evals) > 1e-10
-    # time-integrated state: R = -sum_k b_k w_k / lambda_k over decaying modes
-    r_vec = prop.evecs[:, nonzero] @ (-b[nonzero] / prop.evals[nonzero])
-    seed = _vec(c @ _unvec(r_vec, ops.dim))
-    d = prop.coeffs(seed)
-    f = (_vec(c).conj() @ prop.evecs) * d  # Tr[c^dag w_k] d_k per mode
-
-    # keep decaying modes with nonzero weight; zero modes carry no emission
-    keep = (np.abs(f) > 1e-14 * np.abs(f).max()) & (prop.evals.real < -1e-14)
-    lam, f = prop.evals[keep], f[keep]
-    denom = lam[None, :] - 1j * energy_grid[:, None] / HBAR_UEV_PS
-    s = (-(f[None, :] / denom)).sum(axis=1).real / np.pi
-    s = np.clip(s, 0.0, None)
-
-    total = HBAR_UEV_PS * f.sum().real  # analytic area over all energies
-    grid_area = np.trapezoid(s, energy_grid)
-    if total <= 0 or grid_area < coverage_tol * total:
-        raise ValueError(
-            f"energy grid captures {grid_area / total if total > 0 else 0:.4f} "
-            f"of the spectrum; widen the grid")
-    return energy_grid, s / grid_area

@@ -1,4 +1,5 @@
-"""Unit conversions between wavelength, energy, linewidth and lifetime.
+"""Unit conversions between wavelength and energy, and the constants
+that relate linewidth to lifetime.
 
 Canonical units throughout the toolkit: energies and linewidths in ueV,
 times in ps, wavelengths in nm, temperatures in K.
@@ -17,27 +18,6 @@ def wavelength_to_energy(wavelength_nm: float) -> float:
     if not (wavelength_nm > 0 and math.isfinite(wavelength_nm)):
         raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
     return HC_UEV_NM / wavelength_nm
-
-
-def energy_to_wavelength(energy_uev: float) -> float:
-    """Vacuum wavelength in nm for a photon energy in ueV."""
-    if not (energy_uev > 0 and math.isfinite(energy_uev)):
-        raise ValueError(f"energy must be positive, got {energy_uev}")
-    return HC_UEV_NM / energy_uev
-
-
-def linewidth_to_lifetime(gamma_uev: float) -> float:
-    """Lifetime in ps for a FWHM linewidth in ueV (tau = hbar / gamma)."""
-    if not (gamma_uev > 0 and math.isfinite(gamma_uev)):
-        raise ValueError(f"linewidth must be positive, got {gamma_uev}")
-    return HBAR_UEV_PS / gamma_uev
-
-
-def lifetime_to_linewidth(tau_ps: float) -> float:
-    """FWHM linewidth in ueV for a lifetime in ps (gamma = hbar / tau)."""
-    if not (tau_ps > 0 and math.isfinite(tau_ps)):
-        raise ValueError(f"lifetime must be positive, got {tau_ps}")
-    return HBAR_UEV_PS / tau_ps
 
 
 def q_factor(energy_uev: float, gamma_c_uev: float) -> float:

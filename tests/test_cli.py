@@ -164,6 +164,10 @@ def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
         "import sys, cqedkit.cli as c; "
         f"assert c.main(['fit', *{spectra!r}]) == 0; "
         f"sys.exit({no_scipy})",
+        # nor does demo-paper (exit 1 while a row, acceptance 4, fails)
+        "import sys, cqedkit.cli as c; "
+        "assert c.main(['demo-paper']) in (0, 1); "
+        f"sys.exit({no_scipy})",
         # configs are checked by the classes they build, not by jsonschema
         "import sys, cqedkit.cli as c; "
         f"o = ['--out-dir', {str(tmp_path)!r}]; "
@@ -263,6 +267,8 @@ BAD_FLAGS = {
     "window_nan": ("correlate {clicks} --window=nan", "argument --window"),
     "window_inf": ("correlate {clicks} --window=inf", "argument --window"),
     "window_-inf": ("correlate {clicks} --window=-inf", "argument --window"),
+    "bin_wider_than_window": ("correlate {clicks} --bin=200000 --window=1000",
+                              "--bin 200000.0 ps is wider than --window 1000.0"),
     "n_side_0": ("correlate {clicks} --n-side=0", "argument --n-side"),
     "n_side_fractional": ("correlate {clicks} --n-side=6.5",
                           "argument --n-side"),
@@ -272,6 +278,7 @@ BAD_FLAGS = {
                        "argument --rep-period"),
     "duration_nan": ("simulate --duration=nan", "argument --duration"),
     "pulses_negative": ("simulate --pulses=-3", "argument --pulses"),
+    "pulses_overflow": ("simulate --pulses=" + "9" * 401, "argument --pulses"),
     "t_step_0": ("sweep --t-step=0", "argument --t-step"),
     "t_step_negative": ("sweep --t-step=-1", "argument --t-step"),
     "t_min_above_t_max": ("sweep --t-min=12 --t-max=8",

@@ -165,31 +165,6 @@ def test_efficiency_monotone_in_g_and_gamma_x():
     assert all(a > b for a, b in zip(etas_x, etas_x[1:]))
 
 
-def test_detuning_sweep_symmetry_and_minimum():
-    grid = np.linspace(-400.0, 400.0, 161)
-    curve = coupled.detuning_sweep(paper_params(), grid)
-    split = curve.splitting
-    assert np.argmin(split) == 80  # delta = 0
-    assert split.min() == pytest.approx(
-        coupled.vacuum_rabi_splitting(paper_params()), rel=1e-9)
-    assert np.all(split >= split.min() - 1e-9)
-    # symmetric under delta -> -delta up to branch exchange
-    assert np.allclose(split, split[::-1], rtol=1e-9)
-
-
-def test_branch_tracking_switches_character():
-    grid = np.linspace(-600.0, 600.0, 241)
-    curve = coupled.detuning_sweep(paper_params(), grid)
-    # branch a is continuous: no jumps larger than the grid spacing scale
-    jumps = np.abs(np.diff(curve.branch_a))
-    assert jumps.max() < 30.0
-    # exciton-like width at -delta equals cavity-like width at +delta:
-    # adiabatic branches swap their far-detuned linewidths
-    wa_left = 2 * abs(curve.branch_a[0].imag)
-    wb_right = 2 * abs(curve.branch_b[-1].imag)
-    assert wa_left == pytest.approx(wb_right, rel=1e-9)
-
-
 def test_model_spectrum_shapes():
     lam_grid = np.linspace(930.0, 943.0, 20001)
     e_c = wavelength_to_energy(936.35)

@@ -145,34 +145,6 @@ def test_dark_subtraction_identity_and_dark_only():
         hbt.subtract_dark_counts(h, (2e-3, 0.0), (1e-3, 1e-3))
 
 
-def test_fit_lifetime_exponential():
-    rng = np.random.default_rng(7)
-    delays = rng.exponential(620.0, 10000)
-    fit = hbt.fit_lifetime(delays)
-    assert fit.tau == pytest.approx(620.0, abs=4 * fit.stderr)
-    assert fit.stderr == pytest.approx(620.0 / 100.0, rel=0.1)
-    assert fit.exponential
-    # uniform samples are flagged as non-exponential
-    bad = hbt.fit_lifetime(rng.uniform(0.0, 1000.0, 10000))
-    assert not bad.exponential
-    with pytest.raises(InsufficientStatisticsError):
-        hbt.fit_lifetime(rng.exponential(620.0, 50))
-
-
-def test_fit_lifetime_with_jitter_tail():
-    rng = np.random.default_rng(8)
-    sigma = 25.0
-    delays = rng.exponential(620.0, 40000) + rng.normal(0.0, sigma, 40000)
-    fit = hbt.fit_lifetime(delays, jitter_sigma=sigma)
-    assert abs(fit.tau - 620.0) / 620.0 < 0.01 + 3 * fit.stderr / 620.0
-
-
-def test_first_click_delays():
-    times = np.array([100.0, 400.0, REP + 50.0, 3 * REP + 7.0])
-    d = hbt.first_click_delays(times, REP)
-    assert np.allclose(d, [100.0, 50.0, 7.0])
-
-
 def test_time_rescaling_equivariance():
     rng = np.random.default_rng(9)
     t = np.sort(rng.uniform(0, 1e5, 400))

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.signal import find_peaks
 
 from cqedkit import coupled, lindblad
 from cqedkit.errors import CutoffError
@@ -107,58 +106,6 @@ def test_cw_g2_poisson_feed_bunching():
                           pump_x=1e-9, feed_c=1e-4)
     g2 = lindblad.cw_g2(model, np.array([0.0]), channel="C", n_max=3)
     assert g2[0] == pytest.approx(2.0, abs=0.02)
-
-
-def test_emission_spectrum_decoupled_single_lorentzian():
-    model = LindbladModel(e_x=50.0, e_c=0.0, g=0.0, gamma_x=8.0, gamma_c=85.0)
-    grid = np.linspace(-6000.0, 6000.0, 120001)
-    _, s = lindblad.emission_spectrum(model, grid, channel="X", n_max=1)
-    peak = grid[np.argmax(s)]
-    assert peak == pytest.approx(50.0, abs=0.2)
-    half = s.max() / 2
-    above = grid[s >= half]
-    assert above[-1] - above[0] == pytest.approx(8.0, abs=0.2)
-    assert np.trapezoid(s, grid) == pytest.approx(1.0, rel=1e-6)
-
-
-def test_emission_spectrum_resonant_doublet():
-    grid = np.linspace(-4000.0, 4000.0, 40001)
-    _, s = lindblad.emission_spectrum(PAPER, grid, channel="C", n_max=1,
-                                      coverage_tol=0.99)
-    peaks, _ = find_peaks(s, height=0.2 * s.max())
-    assert len(peaks) == 2
-    # overlapping branches pull the maxima slightly inward of the
-    # eigenvalue separation
-    sep = grid[peaks[1]] - grid[peaks[0]]
-    eig_sep = 2 * np.sqrt(35.0**2 - (85.0 - GX) ** 2 / 16)
-    assert 0.5 * eig_sep < sep <= eig_sep
-    mid = np.argmin(np.abs(grid))
-    assert s[mid] < s.max()  # genuine local dip between the two maxima
-
-
-def test_emission_spectrum_detuned_peaks_match_eigenvalues():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        p = coupled.SystemParams(
-            e_x=rng.uniform(150, 400) * rng.choice([-1, 1]), e_c=0.0,
-            gamma_x=rng.uniform(2, 10), gamma_c=rng.uniform(10, 40),
-            g=rng.uniform(20, 45))
-        pair = coupled.eigen_energies(p)
-        grid = np.linspace(-4000.0, 4000.0, 40001)
-        _, s = lindblad.emission_spectrum(
-            LindbladModel.from_system(p), grid, channel="C", n_max=1,
-            coverage_tol=0.98)
-        # the exciton-like line dominates; the broad cavity-like peak is a
-        # faint but real local maximum, so select by prominence, not height
-        peaks, _ = find_peaks(s, prominence=1e-3 * s.max())
-        found = np.sort(grid[peaks])
-        for expect in (pair.lower.real, pair.upper.real):
-            assert np.min(np.abs(found - expect)) < 2.0
-
-
-def test_emission_spectrum_rejects_narrow_grid():
-    with pytest.raises(ValueError):
-        lindblad.emission_spectrum(PAPER, np.linspace(-40.0, 40.0, 401), n_max=1)
 
 
 def test_invalid_model_rejected():

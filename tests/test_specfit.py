@@ -8,8 +8,9 @@ from cqedkit.specfit import (LorentzianParams, MeasuredAnticrossing, Spectrum,
                              double_lorentzian_jacobian, fit_double_lorentzian,
                              fit_series, initial_guess, lorentzian,
                              temperature_tuning)
-from cqedkit.units import (HBAR_UEV_PS, energy_to_wavelength,
-                           local_energy_per_nm, wavelength_to_energy)
+from cqedkit.units import HBAR_UEV_PS, local_energy_per_nm, wavelength_to_energy
+# hc/x maps energy to wavelength as it maps wavelength to energy
+from cqedkit.units import wavelength_to_energy as energy_to_wavelength
 
 GX = HBAR_UEV_PS / 700.0
 TRUE = np.array([1.0, 936.1, 0.030, 0.6, 936.55, 0.055, 0.02])
