@@ -142,10 +142,13 @@ def cmd_correlate(args) -> int:
     if args.bin > args.window:
         raise ConfigError(f"--bin {args.bin} ps is wider than "
                           f"--window {args.window} ps")
-    streams = [clickio.read_click_stream(f) for f in args.files]
     channels = args.channels.split(",")
     if len(channels) not in (1, 2):
         raise ConfigError("--channels takes one or two channel names")
+    if not set(channels) <= set(clickio.CLICK_CHANNELS):
+        raise ConfigError(f"--channels {args.channels!r}: each name must be "
+                          f"one of {', '.join(clickio.CLICK_CHANNELS)}")
+    streams = [clickio.read_click_stream(f) for f in args.files]
 
     hist = _histogram(streams, channels, args.window, args.bin)
 
@@ -163,7 +166,11 @@ def cmd_correlate(args) -> int:
     try:
         est = estimate(hist, args.rep_period, n_side=args.n_side)
     except PeakWindowError as exc:
-        raise ConfigError(f"{exc}; widen --window or lower --n-side "
+        # whole bins can cut the window short of the one asked for
+        binned = (f"--window {args.window} ps at --bin {args.bin} ps bins "
+                  f"to {hist.window} ps: " if hist.window != args.window
+                  else "")
+        raise ConfigError(f"{binned}{exc}; widen --window or lower --n-side "
                           f"or --rep-period") from None
     path = _out_path(args, "histogram.csv")
     clickio.write_histogram(path, hist)

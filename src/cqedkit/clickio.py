@@ -4,6 +4,7 @@ All formats are plain text, diff-able, and byte-reproducible: CSV for
 data, flat `key = value` blocks for reports.  Click times are written
 with 0.1 ps precision.
 """
+import io
 import math
 
 import numpy as np
@@ -19,17 +20,28 @@ CLICK_CHANNELS = ("C", "X", "D")
 
 
 def write_click_stream(path, stream: ClickStream) -> None:
+    rows = "".join([f"{ch},{t:.1f}\n" for ch, t in
+                    zip(stream.channels.tolist(), stream.times.tolist())])
     with open(path, "w") as fh:
         fh.write(f"{CLICK_MAGIC} seed={stream.seed} "
                  f"duration_ps={stream.duration!r} "
-                 f"confighash={stream.config_hash}\n")
-        fh.write(CLICK_COLUMNS + "\n")
-        for ch, t in zip(stream.channels, stream.times):
-            fh.write(f"{ch},{t:.1f}\n")
+                 f"confighash={stream.config_hash}\n"
+                 f"{CLICK_COLUMNS}\n{rows}")
 
 
 def _line_error(path, lineno: int, what: str) -> MalformedFileError:
     return MalformedFileError(f"{path}: line {lineno}: {what}")
+
+
+def _decode(path, data: bytes) -> str:
+    """UTF-8 text of a file's bytes; a byte that is not raises
+    MalformedFileError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise _line_error(path, lineno, f"not UTF-8 text (byte "
+                          f"{data[exc.start]:#04x})") from None
 
 
 def _float_or_nan(text: str) -> float:
@@ -39,25 +51,91 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
+def _header_meta(fields):
+    """(duration, seed, config_hash) of a header's `key=value` fields;
+    KeyError for a missing key, ValueError for a bad field."""
+    meta = dict(f.split("=", 1) for f in fields)
+    return float(meta["duration_ps"]), int(meta["seed"]), meta["confighash"]
+
+
 def read_click_stream(path) -> ClickStream:
     """Parse a click file; a malformed one raises MalformedFileError.
 
     The message names the file, and the line for a bad row: a channel
-    other than C, X or D, an unparsable or non-finite time, or a time
-    below the previous row's.
+    other than C, X or D, an unparsable or non-finite time, a time below
+    the previous row's, or a byte that is not UTF-8.
     """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        columns = fh.readline().strip()
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    stream = _parse_clicks(data)
+    return _scan_clicks(path, data) if stream is None else stream
+
+
+_CHANNEL_BYTES = "".join(CLICK_CHANNELS).encode()
+#: the bytes of a click file's rows on the vectorised path; any other
+#: byte sends the file to the line scan
+_ROW_BYTES = b"0123456789.+-eE,\n" + _CHANNEL_BYTES
+
+
+def _parse_clicks(data: bytes):
+    """The ClickStream of a plain click file, all rows checked at once;
+    None for any other file, which _scan_clicks then reads.
+
+    It takes only what the scan takes, to equal arrays: a printable ASCII
+    header, the exact columns line, and rows of one channel byte, a comma
+    and a time token of [0-9.+-eE], each ending in a newline.
+    """
+    head, _, rest = data.partition(b"\n")
+    columns, _, body = rest.partition(b"\n")
+    if not (head.isascii() and head.decode().isprintable()
+            and columns == CLICK_COLUMNS.encode()
+            and (body.endswith(b"\n") or not body)
+            and not body.translate(None, _ROW_BYTES)):
+        return None
+    fields = head.decode().split()
+    if not fields or fields[0] != CLICK_MAGIC:
+        return None
+    try:
+        duration, seed, config_hash = _header_meta(fields[1:])
+    except (KeyError, ValueError):
+        return None
+    u = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(u == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
+    heads = u[starts]
+    times_text = body.translate(None, b"," + _CHANNEL_BYTES)
+    # every row opens with a channel and a comma, and neither appears
+    # elsewhere; `and` looks past a row's first byte only if no row is empty
+    if not (np.isin(heads, list(_CHANNEL_BYTES)).all()
+            and (u[starts + 1] == ord(",")).all()
+            and len(body) - len(times_text) == 2 * len(ends)):
+        return None
+    # an ASCII byte is its own code point: <U1 without a string cast
+    channels = heads.astype(np.uint32).view("U1")
+    try:
+        # a token float() rejects, or a time that is not finite or runs
+        # back: the scan rejects both
+        return ClickStream(times=np.array(times_text.split(b"\n")[:-1],
+                                          dtype=np.float64),
+                           channels=channels, duration=duration, seed=seed,
+                           config_hash=config_hash)
+    except ValueError:
+        return None
+
+
+def _scan_clicks(path, data: bytes) -> ClickStream:
+    """Line-by-line parse of a click file's bytes; the only path that
+    says what is wrong with a malformed one."""
+    # universal newlines, as open() reads text
+    fh = io.StringIO(_decode(path, data), newline=None)
+    header = fh.readline().rstrip("\n")
+    columns = fh.readline().strip()
+    lines = fh.read().splitlines()
     fields = header.split()
     if not fields or fields[0] != CLICK_MAGIC:
         raise MalformedFileError(f"{path}: not a {CLICK_MAGIC} file")
     try:
-        meta = dict(f.split("=", 1) for f in fields[1:])
-        duration = float(meta["duration_ps"])
-        seed = int(meta["seed"])
-        config_hash = meta["confighash"]
+        duration, seed, config_hash = _header_meta(fields[1:])
     except KeyError as exc:
         raise MalformedFileError(f"{path}: header lacks {exc}") from None
     except ValueError as exc:
@@ -111,9 +189,11 @@ def read_spectrum(path) -> Spectrum:
     """Parse a spectrum file; a malformed one raises MalformedFileError
     naming the file and, for a bad row, its line."""
     temperature = None
-    with open(path) as fh:
-        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1)
-                 if ln.strip()]
+    with open(path, "rb") as fh:
+        text = _decode(path, fh.read())
+    # splitlines breaks at \r\n and \r as well, as open() reads text
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
     if lines and lines[0][1].startswith("#"):
         lineno, head = lines.pop(0)
         key, _, val = head.lstrip("# ").partition("=")

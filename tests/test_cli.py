@@ -187,6 +187,7 @@ BAD_CLICK_MESSAGES = {
     # a one-character channel dtype would accept Q and cut CX to C
     "unknown_channel": "line 6: unknown channel 'Q'",
     "two_letter_channel": "line 6: unknown channel 'CX'",
+    "not_utf8": "line 6: not UTF-8 text (byte 0xff)",
 }
 
 
@@ -203,9 +204,12 @@ def test_correlate_bad_click_file_is_config_error(tmp_path, capsys, corrupt):
         lines[5] = "Q," + lines[5].partition(",")[2]
     elif corrupt == "two_letter_channel":
         lines[5] = "CX," + lines[5].partition(",")[2]
+    elif corrupt == "not_utf8":
+        lines[5] = "C,\udcff" + lines[5].partition(",")[2]
     bad = tmp_path / "bad.csv"
     if corrupt != "missing":
-        bad.write_text("".join(lines))
+        # surrogateescape writes "\udcff" as the lone byte 0xff
+        bad.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
     code, out, err = run(capsys, "--out-dir", str(tmp_path), "correlate",
                          str(bad))
     assert code == cli.EXIT_CONFIG
@@ -221,6 +225,8 @@ def test_correlate_bad_click_file_is_config_error(tmp_path, capsys, corrupt):
                  id="bad_value"),
     pytest.param("936.0,1.0\n936.1,nan\n", "line 4: ", id="nan_value"),
     pytest.param("936.0,1.0\n936.1,1.0,2.0\n", "line 4: ", id="three_fields"),
+    pytest.param("936.0,1.0\n936.1,\udcff\n",
+                 "line 4: not UTF-8 text (byte 0xff)", id="not_utf8"),
     pytest.param("936.1,1.0\n936.0,1.0\n", "strictly increasing",
                  id="unsorted"),
     # a well-formed file with the twin's tag: rejected before any fit
@@ -230,7 +236,8 @@ def test_correlate_bad_click_file_is_config_error(tmp_path, capsys, corrupt):
 def test_fit_bad_spectrum_is_config_error(tmp_path, capsys, rows, message):
     header = "# temperature_K=10.0\nwavelength_nm,intensity\n"
     bad = tmp_path / "bad.csv"
-    bad.write_text(header + rows)
+    # surrogateescape writes "\udcff" as the lone byte 0xff
+    bad.write_bytes((header + rows).encode("utf-8", "surrogateescape"))
     twin = tmp_path / "twin.csv"
     twin.write_text(header + "936.0,1.0\n936.1,2.0\n")
     out_dir = tmp_path / "out"
@@ -269,6 +276,19 @@ BAD_FLAGS = {
     "window_-inf": ("correlate {clicks} --window=-inf", "argument --window"),
     "bin_wider_than_window": ("correlate {clicks} --bin=200000 --window=1000",
                               "--bin 200000.0 ps is wider than --window 1000.0"),
+    # whole 400 ps bins cut the default 84500 ps window to 84400 ps
+    "bin_rounds_window": ("correlate {clicks} --bin=400",
+                          "--window 84500.0 ps at --bin 400.0 ps bins to "
+                          "84400.0 ps: window 84400.0 ps too small"),
+    "channels_unknown": ("correlate {clicks} --channels=Q",
+                         "--channels 'Q': each name must be one of C, X, D"),
+    "channels_empty_name": ("correlate {clicks} --channels=C,",
+                            "--channels 'C,': each name must be one of"),
+    "channels_three": ("correlate {clicks} --channels=C,X,D",
+                       "--channels takes one or two channel names"),
+    # the flag is checked before any file is read
+    "channels_before_read": ("correlate {missing} --channels=Q",
+                             "--channels 'Q'"),
     "n_side_0": ("correlate {clicks} --n-side=0", "argument --n-side"),
     "n_side_fractional": ("correlate {clicks} --n-side=6.5",
                           "argument --n-side"),
@@ -301,7 +321,8 @@ def test_bad_flag_exits_2_naming_it(tmp_path, capsys, case):
     argv, text = BAD_FLAGS[case]
     run(capsys, "--out-dir", str(tmp_path), "simulate", "--pulses", "1000")
     spec, = write_series(tmp_path, [10.0])
-    files = {"clicks": tmp_path / "clicks.csv", "spec": spec}
+    files = {"clicks": tmp_path / "clicks.csv", "spec": spec,
+             "missing": tmp_path / "missing.csv"}
     out_dir = tmp_path / "out"
     try:
         code = cli.main(["--out-dir", str(out_dir),

@@ -93,3 +93,118 @@ def test_report_roundtrip_and_scalar_coercion():
     assert back["resolvable"] == "True"
     assert back["n_points"] == "21"
     assert back["label"] == "resonant"
+
+
+def test_click_writer_bytes_match_per_row_format(tmp_path):
+    # the per-row f-string over numpy scalars, as rows were first written
+    times = np.array([0.05, 0.15, 2.25, 2.35, 123456.75, 1e9 + 0.05,
+                      1e9 + 0.25, 1e12, 1e15 + 0.3])
+    channels = np.array(["C", "X", "D", "C", "X", "D", "C", "X", "D"])
+    s = ClickStream(times=times, channels=channels, duration=2e15, seed=3,
+                    config_hash="ff00")
+    path = tmp_path / "clicks.csv"
+    clickio.write_click_stream(path, s)
+    expected = ("#cqed-click-v1 seed=3 duration_ps=2000000000000000.0 "
+                "confighash=ff00\nchannel,time_ps\n"
+                + "".join(f"{ch},{t:.1f}\n" for ch, t in zip(channels, times)))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_zero_row_click_stream_roundtrip(tmp_path):
+    path = tmp_path / "empty.csv"
+    s = ClickStream(times=np.array([]), channels=np.array([], dtype=str),
+                    duration=10.0, seed=0, config_hash="00")
+    clickio.write_click_stream(path, s)
+    assert path.read_text().endswith("\nchannel,time_ps\n")
+    back = clickio.read_click_stream(path)
+    assert len(back) == 0
+    assert back.times.dtype == np.float64 and back.channels.dtype == "<U1"
+    assert back.duration == 10.0 and back.seed == 0
+
+
+HEADER = (b"#cqed-click-v1 seed=7 duration_ps=26000.0 confighash=abcd\n"
+          b"channel,time_ps\n")
+ROWS = [b"C,100.0\n", b"X,250.5\n", b"D,250.5\n", b"C,300.0\n",
+        b"X,13100.2\n", b"C,13200.0\n"]
+
+
+def edit_row(line, new):
+    """The click file with row `line` (file line number) replaced."""
+    rows = list(ROWS)
+    rows[line - 3] = new
+    return HEADER + b"".join(rows)
+
+
+PLAIN = HEADER + b"".join(ROWS)
+CLICK_FILES = {
+    "plain": PLAIN,
+    "zero_rows": HEADER,
+    "header_only": HEADER.partition(b"\n")[0] + b"\n",
+    "negative_zero": edit_row(3, b"C,-0.0\n"),
+    "signed_exponent": edit_row(3, b"C,+1e1\n"),
+    # the corruptions of the CLI's bad-click-file test
+    "nan_time": HEADER + b"".join(ROWS[:3]) + b"C,oops\n" + b"".join(ROWS[3:]),
+    "swapped_rows": HEADER + ROWS[1] + ROWS[0] + b"".join(ROWS[2:]),
+    "unknown_channel": edit_row(6, b"Q,300.0\n"),
+    "two_letter_channel": edit_row(6, b"CX,300.0\n"),
+    "not_utf8": edit_row(6, b"C,\xff300.0\n"),
+    "utf16_bom": b"\xff\xfe" + PLAIN,
+    # forms the line scan reads its own way
+    "crlf": PLAIN.replace(b"\n", b"\r\n"),
+    "cr": PLAIN.replace(b"\n", b"\r"),
+    "space_after_comma": edit_row(6, b"C, 300.0\n"),
+    "underscore_time": edit_row(8, b"C,1_3200\n"),
+    "form_feed": edit_row(8, b"C,13200.0\f\n"),
+    "trailing_blank_line": PLAIN + b"\n",
+    "no_final_newline": PLAIN[:-1],
+    "empty_time": edit_row(6, b"C,\n"),
+    "two_times": edit_row(6, b"C,1.0,2.0\n"),
+    "inf_time": edit_row(8, b"C,inf\n"),
+    "channel_in_time": edit_row(8, b"C,1X3200\n"),
+    "comma_moved_to_next_row": (HEADER + b"".join(ROWS[:4])
+                                + b"X,13100.2,C\n13200.0\n"),
+    "channel_only": edit_row(8, b"C\n"),
+    # a channel and a comma per row, but not at the row's head
+    "comma_late": edit_row(6, b"C3,00.0\n"),
+    "channel_after_comma": edit_row(6, b"3,C00.0\n"),
+    "unterminated_bad_row": PLAIN + b"5",
+}
+
+
+def scan_outcome(path, data):
+    try:
+        s = clickio._scan_clicks(path, data)
+    except clickio.MalformedFileError as exc:
+        return str(exc)
+    return s
+
+
+@pytest.mark.parametrize("name", CLICK_FILES)
+def test_vectorised_click_read_agrees_with_line_scan(tmp_path, name):
+    path = tmp_path / "clicks.csv"
+    data = CLICK_FILES[name]
+    path.write_bytes(data)
+    want = scan_outcome(path, data)
+    fast = clickio._parse_clicks(data)
+    if fast is not None:  # the fast path takes only what the scan takes
+        assert not isinstance(want, str), want
+    try:
+        got = clickio.read_click_stream(path)
+    except clickio.MalformedFileError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    for stream in (got, fast) if fast is not None else (got,):
+        assert np.array_equal(stream.times, want.times)
+        assert np.array_equal(np.signbit(stream.times), np.signbit(want.times))
+        assert np.array_equal(stream.channels, want.channels)
+        assert stream.times.dtype == want.times.dtype
+        assert stream.channels.dtype == want.channels.dtype
+        assert ((stream.duration, stream.seed, stream.config_hash)
+                == (want.duration, want.seed, want.config_hash))
+
+
+@pytest.mark.parametrize("name", ["plain", "zero_rows", "negative_zero",
+                                  "signed_exponent"])
+def test_plain_click_files_take_the_vectorised_path(name):
+    assert clickio._parse_clicks(CLICK_FILES[name]) is not None
