@@ -119,28 +119,51 @@ class TuningCalibration:
     t_max: float = 40.0
 
 
-def lorentzian(lam, area, center, fwhm):
-    """Area-normalized Lorentzian line."""
-    return (2.0 * area / (np.pi * fwhm)) / (1.0 + 4.0 * (lam - center) ** 2 / fwhm**2)
-
-
 def double_lorentzian(lam, params):
-    a1, c1, w1, a2, c2, w2, b = params
-    return lorentzian(lam, a1, c1, w1) + lorentzian(lam, a2, c2, w2) + b
+    """Two area-normalised Lorentzians plus a constant baseline; params
+    (A1,c1,w1,A2,c2,w2,b).  Each line is 2 A w / (pi (w^2 + 4 d^2)) at
+    detuning d = lam - c."""
+    a1, c1, w1, a2, c2, w2, b = np.asarray(params, dtype=float).tolist()
+    out = lam - c1
+    out *= out
+    out *= 4.0
+    out += w1 * w1
+    np.divide(2.0 * a1 * w1 / math.pi, out, out=out)
+    den = lam - c2
+    den *= den
+    den *= 4.0
+    den += w2 * w2
+    np.divide(2.0 * a2 * w2 / math.pi, den, out=den)
+    out += den
+    out += b
+    return out
 
 
 def double_lorentzian_jacobian(lam, params):
-    """Analytic Jacobian of the model, shape (n_points, 7)."""
-    jac = np.empty((len(lam), 7))
-    for k, (a, c, w) in enumerate(((params[0], params[1], params[2]),
-                                   (params[3], params[4], params[5]))):
+    """Analytic Jacobian of the model, shape (n_points, 7).
+
+    The columns are filled as rows of a C-contiguous (7, n) buffer, whose
+    transpose is returned.
+    """
+    p = np.asarray(params, dtype=float).tolist()
+    jac = np.empty((7, len(lam)))
+    for k in (0, 3):
+        a, c, w = p[k:k + 3]
         d = lam - c
-        denom = w**2 + 4.0 * d**2
-        jac[:, 3 * k] = (2.0 * w / np.pi) / denom
-        jac[:, 3 * k + 1] = (16.0 * a * w / np.pi) * d / denom**2
-        jac[:, 3 * k + 2] = (2.0 * a / np.pi) * (4.0 * d**2 - w**2) / denom**2
-    jac[:, 6] = 1.0
-    return jac
+        d2 = d * d
+        inv = 4.0 * d2
+        inv += w * w
+        np.divide(1.0, inv, out=inv)
+        np.multiply(inv, 2.0 * w / math.pi, out=jac[k])
+        inv *= inv
+        d *= inv
+        np.multiply(d, 16.0 * a * w / math.pi, out=jac[k + 1])
+        d2 *= 4.0
+        d2 -= w * w
+        d2 *= inv
+        np.multiply(d2, 2.0 * a / math.pi, out=jac[k + 2])
+    jac[6] = 1.0
+    return jac.T
 
 
 def find_peaks(x: np.ndarray, prominence: float
@@ -172,11 +195,24 @@ def find_peaks(x: np.ndarray, prominence: float
     return idx[keep], prom[keep]
 
 
+def width_floor(lam: np.ndarray) -> float:
+    """Lower bound of a fitted FWHM: 1/50 of the smallest sampling step."""
+    return float(np.min(np.diff(lam))) / 50.0
+
+
 def initial_guess(s: Spectrum) -> np.ndarray:
     """Seed parameters (A1,c1,w1,A2,c2,w2,b) from peak finding.
 
-    Falls back to a symmetric one-FWHM split when only one peak stands
-    out (merged weak-coupling case).
+    Peaks are found on the 5-point smoothed spectrum.  When only one
+    stands out there, the raw spectrum is searched as well: a line
+    narrower than the smoothing window shows as a raw peak whose
+    neighbours both lie below its half maximum.  Such a line is seeded at
+    its peak sample, with the width its neighbours imply for a
+    Lorentzian centred there (no wider than two grid steps, no narrower
+    than the width floor) and the area that puts the peak sample on it.
+    The other line is seeded at the highest point of the smoothed
+    spectrum left once that line is taken out.  With no narrow line the
+    seeds are a symmetric one-FWHM split (merged weak-coupling case).
     """
     lam, y = s.wavelength_nm, s.intensity
     span = y.max() - y.min()
@@ -191,21 +227,41 @@ def initial_guess(s: Spectrum) -> np.ndarray:
     order = np.argsort(prominences)[::-1]
     idx = idx[order[:2]]
 
-    def width_at(i):
-        half = baseline + 0.5 * (smooth[i] - baseline)
+    def width_at(v, i):
+        half = baseline + 0.5 * (v[i] - baseline)
         left = i
-        while left > 0 and smooth[left] > half:
+        while left > 0 and v[left] > half:
             left -= 1
         right = i
-        while right < len(lam) - 1 and smooth[right] > half:
+        while right < len(lam) - 1 and v[right] > half:
             right += 1
         return max(lam[right] - lam[left], 2.0 * (lam[1] - lam[0]))
 
+    def narrow_line():
+        raw, raw_prominences = find_peaks(y, prominence=0.05 * span)
+        for k in raw[np.argsort(raw_prominences)[::-1]]:
+            height = y[k] - baseline
+            if 0 < height and max(y[k - 1], y[k + 1]) - baseline <= 0.5 * height:
+                # a line centred on sample k has side / height =
+                # w^2 / (w^2 + 4 step^2) on the samples either side
+                side = max(0.5 * (y[k - 1] + y[k + 1]) - baseline, 0.0)
+                step = 0.5 * (lam[k + 1] - lam[k - 1])
+                fwhm = 2.0 * step * math.sqrt(side / (height - side))
+                return lam[k], max(fwhm, width_floor(lam)), height
+        return None
+
     if len(idx) == 2:
-        seeds = sorted(((lam[i], width_at(i), smooth[i] - baseline) for i in idx))
+        seeds = sorted(((lam[i], width_at(smooth, i), smooth[i] - baseline)
+                        for i in idx))
+    elif (narrow := narrow_line()) is not None:
+        c, fwhm, height = narrow
+        rest = y - height * fwhm**2 / (fwhm**2 + 4.0 * (lam - c) ** 2)
+        rest = np.convolve(rest, np.ones(5) / 5.0, mode="same")
+        j = int(np.argmax(rest))
+        seeds = sorted([narrow, (lam[j], width_at(rest, j), rest[j] - baseline)])
     else:
         i = idx[0]
-        w = width_at(i)
+        w = width_at(smooth, i)
         h = smooth[i] - baseline
         seeds = [(lam[i] - 0.5 * w, w, 0.5 * h), (lam[i] + 0.5 * w, w, 0.5 * h)]
     params = []
@@ -221,17 +277,22 @@ def _lm_box(fun, jac, x, lo, hi, ftol, xtol, gtol, max_nfev):
     Levenberg-Marquardt with Marquardt's diagonal scaling, projected onto
     the box (More, LNM 630, 1978; Kanzow, Yamashita & Fukushima, J.
     Comput. Appl. Math. 172, 375 (2004)).  A parameter on a bound whose
-    gradient points out of the box is frozen for the step; the other
-    parameters solve the damped normal equations.  A parameter the step
-    would carry out of the box is put exactly on its bound and the rest
-    are solved again around it.  The damping follows the gain ratio
-    (Nielsen's update, IMM-REP-1999-05).
+    gradient points out of the box is frozen for the step.  When every
+    parameter is free, as on nearly every step, the damped normal
+    equations are solved as they stand, and the trial point is kept if
+    it lies in the box.  Otherwise the system is rebuilt with an identity
+    row for each frozen parameter, and a parameter the step would carry
+    out of the box is put exactly on its bound and frozen, the rest
+    solved again around it, until no free parameter leaves the box.  A
+    non-finite step takes this path too.  The damping follows the gain
+    ratio (Nielsen's update, IMM-REP-1999-05).
 
     Returns (x, residuals, Jacobian at x, status) with scipy's status
     codes: 0 evaluation cap, 1 projected gradient below gtol, 2 relative
     cost reduction below ftol, 3 step below xtol.
     """
     n = len(x)
+    eye = np.eye(n)
     r = fun(x)
     nfev = 1
     cost = 0.5 * (r @ r)
@@ -245,29 +306,35 @@ def _lm_box(fun, jac, x, lo, hi, ftol, xtol, gtol, max_nfev):
         # that bound is infinite), so a parameter pinned on its bound by
         # the gradient counts as converged
         room = np.where(g < 0, hi - x, x - lo)
-        if np.max(np.abs(g * np.where(np.isinf(room), 1.0, room))) < gtol:
+        if np.abs(g * np.where(np.isinf(room), 1.0, room)).max() < gtol:
             return x, r, J, 1
         if nfev >= max_nfev:
             return x, r, J, 0
         free = room > 0
         jtj = J.T @ J
         scale = np.maximum(scale, jtj.diagonal())  # More's monotone scaling
-        damped = jtj.copy()
-        damped.flat[::n + 1] += mu * np.maximum(scale, 1e-30 * scale.max())
-        step = np.zeros(n)
-        x_new = x.copy()
-        while True:
-            # identity rows keep the step of each parameter held fixed
-            step = np.linalg.solve(
-                np.where(free[:, None] & free, damped, np.eye(n)),
-                np.where(free, -g - jtj @ (step * ~free), step))
-            trial = np.clip(x + step, lo, hi)
-            x_new[free] = trial[free]
-            out = free & (trial != x + step)
-            if not out.any():
-                break
-            step[out] = trial[out] - x[out]
-            free &= ~out
+        damped = jtj + eye * (mu * np.maximum(scale, 1e-30 * scale.max()))
+        if free.all():
+            step = np.linalg.solve(damped, -g)
+        else:
+            # identity rows keep the step of each frozen parameter at 0
+            step = np.linalg.solve(np.where(free[:, None] & free, damped, eye),
+                                   np.where(free, -g, 0.0))
+        x_new = x + step
+        # NaN fails both comparisons, so a non-finite step is clipped too
+        if not ((lo <= x_new) & (x_new <= hi)).all():
+            x_new = x.copy()
+            while True:
+                trial = np.clip(x + step, lo, hi)
+                x_new[free] = trial[free]
+                out = free & (trial != x + step)
+                if not out.any():
+                    break
+                step[out] = trial[out] - x[out]
+                free &= ~out
+                step = np.linalg.solve(
+                    np.where(free[:, None] & free, damped, eye),
+                    np.where(free, -g - jtj @ (step * ~free), step))
         step = x_new - x
         r_new = fun(x_new)
         nfev += 1
@@ -326,7 +393,7 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
         w = 1.0 / np.maximum(sigma, 1e-3 * np.max(sigma))
 
     span = lam[-1] - lam[0]
-    w_min = np.min(np.diff(lam)) / 50.0
+    w_min = width_floor(lam)
     lo = np.array([1e-300, lam[0] - span, w_min,
                    1e-300, lam[0] - span, w_min, -np.inf])
     hi = np.array([np.inf, lam[-1] + span, 10 * span,

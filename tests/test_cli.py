@@ -399,6 +399,20 @@ def test_fit_series_through_cli(tmp_path, capsys):
     assert coupling["splitting_resolvable"] == "True"
 
 
+def test_fit_series_keeps_line_narrower_than_smoothing(tmp_path):
+    # the series above at 6.0 K: the exciton line (0.0055 nm on a 0.02 nm
+    # grid) stands on one raw sample, which the 5-point smoothing spreads
+    # into the only peak; seeded as a symmetric split, the fit ended at
+    # reduced chi^2 1.1e-2 against a series median near 1e-9 and was dropped
+    files = write_series(tmp_path, np.arange(6.0, 16.1, 0.5))
+    series = specfit.fit_series([clickio.read_spectrum(f) for f in files])
+    curve = specfit.assemble_anticrossing(series)
+    assert 6.0 in curve.temperature
+    (_, first), *_ = series
+    assert first.reduced_chi2 < 1e-9
+    assert min(p.fwhm for p in first.peaks) == pytest.approx(0.00554, rel=0.01)
+
+
 @pytest.mark.parametrize("temps, noise, message", [
     pytest.param(np.arange(6.0, 8.1, 0.5), 0.05,
                  "series 6-8 K does not span the resonance", id="below"),

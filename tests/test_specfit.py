@@ -6,8 +6,7 @@ from cqedkit.errors import NoSignalError
 from cqedkit.specfit import (LorentzianParams, MeasuredAnticrossing, Spectrum,
                              TuningCalibration, double_lorentzian,
                              double_lorentzian_jacobian, fit_double_lorentzian,
-                             fit_series, initial_guess, lorentzian,
-                             temperature_tuning)
+                             fit_series, initial_guess, temperature_tuning)
 from cqedkit.units import HBAR_UEV_PS, local_energy_per_nm, wavelength_to_energy
 # hc/x maps energy to wavelength as it maps wavelength to energy
 from cqedkit.units import wavelength_to_energy as energy_to_wavelength
@@ -30,9 +29,15 @@ def acceptance6_spectra(seed):
         np.random.default_rng(seed))
 
 
+def single_line(lam, area, center, fwhm, baseline=0.0):
+    """One area-normalised line: the model with a zero-area second line."""
+    return double_lorentzian(lam, [area, center, fwhm, 0.0, center, fwhm,
+                                   baseline])
+
+
 def test_lorentzian_shape_properties():
     lam = np.linspace(-5000.0, 5000.0, 2000001)
-    y = lorentzian(lam, area=2.5, center=3.0, fwhm=4.0)
+    y = single_line(lam, area=2.5, center=3.0, fwhm=4.0)
     assert np.trapezoid(y, lam) == pytest.approx(2.5, rel=1e-3)
     assert lam[np.argmax(y)] == pytest.approx(3.0, abs=1e-3)
     half = y.max() / 2
@@ -51,6 +56,88 @@ def test_jacobian_matches_finite_differences():
         fd = (double_lorentzian(lam, up) - double_lorentzian(lam, dn)) / (2 * h)
         scale = np.max(np.abs(jac[:, k])) + 1e-12
         assert np.max(np.abs(jac[:, k] - fd)) < 1e-5 * scale
+
+
+def model_cases():
+    """(grid, params) pairs: random lines, and a line on the width floor,
+    each params given as an ndarray, a list and a tuple."""
+    rng = np.random.default_rng(13)
+    lam = np.linspace(936.0, 936.6, 61)
+    cases = []
+    for _ in range(20):
+        c1, c2 = rng.uniform(lam[0], lam[-1], 2)
+        cases.append(np.array([rng.uniform(0.1, 2.0), c1, rng.uniform(0.005, 0.2),
+                               rng.uniform(0.1, 2.0), c2, rng.uniform(0.005, 0.2),
+                               rng.uniform(0.0, 0.1)]))
+    floor = specfit.width_floor(lam)
+    assert floor == pytest.approx(0.01 / 50)
+    cases.append(np.array([0.02, lam[30] + 0.003, floor,
+                           0.5, 936.31, 0.055, 0.01]))
+    return [(lam, form(p)) for p in cases for form in (np.array, list, tuple)]
+
+
+def test_model_matches_textbook_lorentzians():
+    for lam, params in model_cases():
+        a1, c1, w1, a2, c2, w2, b = params
+        ref = (a1 / np.pi * (w1 / 2) / ((lam - c1) ** 2 + (w1 / 2) ** 2)
+               + a2 / np.pi * (w2 / 2) / ((lam - c2) ** 2 + (w2 / 2) ** 2) + b)
+        got = double_lorentzian(lam, params)
+        assert got.shape == lam.shape
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+def test_jacobian_matches_finite_differences_on_floor_and_random_lines():
+    for lam, params in model_cases():
+        p = np.array(params, dtype=float)
+        jac = double_lorentzian_jacobian(lam, params)
+        assert jac.shape == (len(lam), 7)
+        for k in range(7):
+            # steps scaled to the width of the line the parameter belongs to
+            line_w = p[2] if k < 3 else p[5]
+            h = (1e-6 * p[k] if k in (0, 3) else 1e-6 if k == 6
+                 else 1e-4 * line_w)
+            up, dn = p.copy(), p.copy()
+            up[k] += h
+            dn[k] -= h
+            fd = (double_lorentzian(lam, up) - double_lorentzian(lam, dn)) / (2 * h)
+            scale = np.max(np.abs(jac[:, k])) + 1e-12
+            assert np.max(np.abs(jac[:, k] - fd)) < 1e-5 * scale
+
+
+def test_fits_evaluate_through_the_module_level_model(monkeypatch):
+    # every model and Jacobian evaluation goes through the module-level
+    # names, which perfbench's counters and the evaluation bound of
+    # test_far_detuned_fit_stops_at_width_floor count
+    calls = {"model": 0, "jacobian": 0}
+    per_fit = []
+    model, jacobian = double_lorentzian, double_lorentzian_jacobian
+    fit = specfit.fit_double_lorentzian
+
+    def counted_model(lam, params):
+        calls["model"] += 1
+        return model(lam, params)
+
+    def counted_jacobian(lam, params):
+        calls["jacobian"] += 1
+        return jacobian(lam, params)
+
+    def counted_fit(*args, **kwargs):
+        before = dict(calls)
+        out = fit(*args, **kwargs)
+        per_fit.append((calls["model"] - before["model"],
+                        calls["jacobian"] - before["jacobian"]))
+        return out
+
+    monkeypatch.setattr(specfit, "double_lorentzian", counted_model)
+    monkeypatch.setattr(specfit, "double_lorentzian_jacobian", counted_jacobian)
+    monkeypatch.setattr(specfit, "fit_double_lorentzian", counted_fit)
+    spectra = acceptance6_spectra(4)
+    s = spectra[1]
+    specfit.fit_double_lorentzian(s, sigma=0.05 * s.intensity)
+    fit_series(spectra, noise_fraction=0.05)
+    assert len(per_fit) > len(spectra)
+    for n_model, n_jacobian in per_fit:
+        assert 0 < n_jacobian <= n_model <= 600
 
 
 def test_noiseless_fit_recovers_parameters():
@@ -87,7 +174,7 @@ def test_initial_guess_two_peaks_and_merged_fallback():
     seed = initial_guess(Spectrum(lam, double_lorentzian(lam, TRUE)))
     assert abs(seed[1] - 936.1) < 0.03 and abs(seed[4] - 936.55) < 0.03
     # a single merged line seeds a symmetric two-peak split
-    single = lorentzian(lam, 1.0, 936.3, 0.08) + 0.01
+    single = single_line(lam, 1.0, 936.3, 0.08, baseline=0.01)
     seed = initial_guess(Spectrum(lam, single))
     assert seed[1] < 936.3 < seed[4]
     with pytest.raises(NoSignalError):
