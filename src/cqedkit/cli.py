@@ -148,6 +148,11 @@ def cmd_correlate(args) -> int:
     if not set(channels) <= set(clickio.CLICK_CHANNELS):
         raise ConfigError(f"--channels {args.channels!r}: each name must be "
                           f"one of {', '.join(clickio.CLICK_CHANNELS)}")
+    if len(channels) == 2 and channels[0] == channels[1]:
+        # a cross-correlation of a stream with itself counts its self pairs
+        raise ConfigError(f"--channels {args.channels!r} names one channel "
+                          f"twice; use --channels {channels[0]} for its "
+                          f"autocorrelation")
     streams = [clickio.read_click_stream(f) for f in args.files]
 
     hist = _histogram(streams, channels, args.window, args.bin)

@@ -56,8 +56,10 @@ def correlate(times_a, times_b=None, *, window: float, bin_width: float,
     Pass times_b=None (or the same array) for autocorrelation; self-pairs
     are excluded.  Inputs must be sorted, e.g. from ClickStream.filter.
     """
-    times_a = np.asarray(times_a, dtype=np.float64)
+    # decided before the conversion, which copies a list or a non-float64
+    # array and so would make one stream two
     auto = times_b is None or times_b is times_a
+    times_a = np.asarray(times_a, dtype=np.float64)
     times_b = times_a if auto else np.asarray(times_b, dtype=np.float64)
     if len(times_a) == 0 or len(times_b) == 0:
         raise NoSignalError("empty click stream")

@@ -288,8 +288,9 @@ def _lm_box(fun, jac, x, lo, hi, ftol, xtol, gtol, max_nfev):
     ratio (Nielsen's update, IMM-REP-1999-05).
 
     Returns (x, residuals, Jacobian at x, status) with scipy's status
-    codes: 0 evaluation cap, 1 projected gradient below gtol, 2 relative
-    cost reduction below ftol, 3 step below xtol.
+    codes: 0 evaluation cap or a non-finite gradient, 1 projected
+    gradient below gtol, 2 relative cost reduction below ftol, 3 step
+    below xtol.
     """
     n = len(x)
     eye = np.eye(n)
@@ -306,9 +307,11 @@ def _lm_box(fun, jac, x, lo, hi, ftol, xtol, gtol, max_nfev):
         # that bound is infinite), so a parameter pinned on its bound by
         # the gradient counts as converged
         room = np.where(g < 0, hi - x, x - lo)
-        if np.abs(g * np.where(np.isinf(room), 1.0, room)).max() < gtol:
+        gmax = np.abs(g * np.where(np.isinf(room), 1.0, room)).max()
+        if gmax < gtol:
             return x, r, J, 1
-        if nfev >= max_nfev:
+        # a NaN or inf gradient makes every step non-finite: stop at once
+        if nfev >= max_nfev or not math.isfinite(gmax):
             return x, r, J, 0
         free = room > 0
         jtj = J.T @ J

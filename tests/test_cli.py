@@ -286,6 +286,8 @@ BAD_FLAGS = {
                             "--channels 'C,': each name must be one of"),
     "channels_three": ("correlate {clicks} --channels=C,X,D",
                        "--channels takes one or two channel names"),
+    "channels_repeated": ("correlate {clicks} --channels=C,C",
+                          "use --channels C for its autocorrelation"),
     # the flag is checked before any file is read
     "channels_before_read": ("correlate {missing} --channels=Q",
                              "--channels 'Q'"),

@@ -57,6 +57,21 @@ def test_correlate_matches_brute_force():
     assert h_auto.tau[len(h_auto.tau) // 2] == 0.0
 
 
+@pytest.mark.parametrize("kind", ["list", "float32", "int64"])
+def test_same_object_twice_is_an_autocorrelation(kind):
+    # a list or a non-float64 array is copied by the conversion; passed
+    # as both streams it is still one stream, without self pairs
+    t = np.sort(np.random.default_rng(4).integers(0, 20000, 300))
+    times = {"list": t.astype(float).tolist(), "float32": t.astype(np.float32),
+             "int64": t}[kind]
+    h = hbt.correlate(times, times, window=2000.0, bin_width=130.0,
+                      duration=2e4)
+    ref = hbt.correlate(t.astype(float), window=2000.0, bin_width=130.0,
+                        duration=2e4)
+    assert h.is_auto
+    assert np.array_equal(h.counts, ref.counts)
+
+
 def test_poisson_autocorrelation_is_flat_unity():
     rng = np.random.default_rng(1)
     t = poisson_stream(2e-3, 5e6, rng)

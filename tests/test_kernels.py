@@ -45,6 +45,61 @@ def test_empty_and_duplicate_times_match_brute_force():
         assert np.array_equal(got, brute_force(a, b, 100.0, 25.0, excl))
 
 
+def contract(a, b, window, bin_width):
+    """The kernel's contract over all pairs at once: (t_a, t_b) counts iff
+    fl(t_a - edge) <= t_b < fl(t_a + edge), in bin
+    clip(trunc(fl(fl(t_b - t_a) + edge) / bin_width))."""
+    n_half = int(round(window / bin_width))
+    edge = (n_half + 0.5) * bin_width
+    n_bins = 2 * n_half + 1
+    ta, tb = a[:, None], b[None, :]
+    paired = (ta - edge <= tb) & (tb < ta + edge)
+    k = (((tb - ta) + edge) / bin_width).astype(np.int64)[paired]
+    return np.bincount(np.clip(k, 0, n_bins - 1), minlength=n_bins)
+
+
+def test_pair_histogram_matches_contract_in_either_orientation():
+    # the longer stream gives the sources, so len(a) < len(b) walks b;
+    # grid times put delays on bin edges and repeat times, and a 1e9
+    # offset makes a -/+ edge round
+    rng = np.random.default_rng(14)
+    for case in range(300):
+        n_a, n_b = rng.integers(0, 50, 2)
+        if case % 2:
+            n_a, n_b = min(n_a, n_b), max(n_a, n_b)
+        bin_width = float(rng.choice([1.0, 2.5, 10.0, rng.uniform(0.3, 40.0)]))
+        window = bin_width * rng.integers(1, 15) + rng.uniform(0.0, bin_width)
+        offset = 1e9 if case % 3 == 2 else 0.0
+        if case % 3 == 0:
+            a, b = (np.sort(rng.uniform(0.0, 500.0, n)) for n in (n_a, n_b))
+        else:
+            a, b = (np.sort(offset + rng.integers(0, 60, n) * bin_width / 2
+                            + rng.choice([0.0, 1e-7], n))
+                    for n in (n_a, n_b))
+        got = kernels.pair_histogram(a, b, window, bin_width)
+        assert np.array_equal(got, contract(a, b, window, bin_width)), case
+        if n_a:
+            auto = contract(a, a, window, bin_width)
+            auto[len(auto) // 2] -= n_a
+            assert np.array_equal(
+                kernels.pair_histogram(a, a, window, bin_width,
+                                       exclude_self=True), auto), case
+
+
+@pytest.mark.parametrize("extra", [0, 3], ids=["same_length", "b_longer"])
+def test_delay_rounding_onto_the_window_edge_is_clipped(extra):
+    # at a 1e9 ps offset, the partner just below fl(t_a + edge) has a delay
+    # that rounds to bin n_bins; the walk clips it into the last bin
+    a = np.array([1e9])
+    window, bin_width = 1e9, 2e8  # n_half 5, edge 1.1e9, 11 bins
+    last = np.nextafter(a[0] + 1.1e9, -np.inf)
+    assert int(((last - a[0]) + 1.1e9) / bin_width) == 11
+    b = np.concatenate([a[0] + np.arange(extra) * 1e8, [last]])
+    got = kernels.pair_histogram(a, b, window, bin_width)
+    assert np.array_equal(got, contract(a, b, window, bin_width))
+    assert got[-1] == 1 and got.sum() == 1 + extra
+
+
 def test_exclude_self_removes_exactly_n_zero_delay_pairs():
     t = np.array([0.0, 100.0, 250.0])
     with_self = kernels.pair_histogram(t, t, 500.0, 50.0, exclude_self=False)
@@ -75,3 +130,8 @@ def test_invalid_arguments():
         kernels.pair_histogram(t, np.array([0.0, np.nan]), 100.0, 10.0)
     with pytest.raises(ValueError, match="finite"):
         kernels.pair_histogram(np.array([0.0, np.inf]), t, 100.0, 10.0)
+    # the partner ranges of either orientation need sorted streams
+    with pytest.raises(ValueError, match="times must be sorted ascending"):
+        kernels.pair_histogram(t, t[::-1], 100.0, 10.0)
+    with pytest.raises(ValueError, match="times must be sorted ascending"):
+        kernels.pair_histogram(np.array([2.0, 1.0, 3.0]), t, 100.0, 10.0)

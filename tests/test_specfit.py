@@ -261,6 +261,31 @@ def test_line_on_upper_width_bound_is_unconverged():
     assert not fit.converged
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_jacobian_stops_at_once(bad):
+    # a non-finite gradient makes every step non-finite: the loop returns
+    # its start with status 0 instead of spending the evaluation cap
+    t = np.linspace(0.0, 1.0, 20)
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return x[0] * t + x[1] - (2.0 * t + 1.0)
+
+    def jac(x):
+        J = np.column_stack([t, np.ones_like(t)])
+        J[3, 0] = bad
+        return J
+
+    x0 = np.array([0.5, 0.0])
+    x, _, _, status = specfit._lm_box(fun, jac, x0, np.full(2, -10.0),
+                                      np.full(2, 10.0), 1e-10, 1e-12, 1e-8,
+                                      600)
+    assert status == 0
+    assert len(calls) <= 2
+    assert np.array_equal(x, x0)
+
+
 def resonant_doublet():
     """Noiseless resonant doublet at the real sampling pitch."""
     e_res = wavelength_to_energy(936.35)
