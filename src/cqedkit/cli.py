@@ -18,7 +18,8 @@ import numpy as np
 
 from . import clickio, config as cfgmod, coupled, hbt, lindblad, specfit, trajectory
 from .errors import (ConfigError, ConvergenceError, CqedError,
-                     DegenerateBranchesError, InsufficientStatisticsError,
+                     DegenerateBranchesError, DurationError,
+                     InsufficientStatisticsError,
                      MiscalibrationError, PeakWindowError, WeakCouplingError)
 from .units import HC_UEV_NM, q_factor, wavelength_to_energy
 
@@ -117,9 +118,14 @@ def cmd_simulate(args) -> int:
     duration = args.pulses * pump.rep_period if args.pulses else args.duration
     if duration is None:
         raise ConfigError("give --duration or --pulses")
-    stream = trajectory.simulate_stream(model, pump, det, duration,
-                                        cfg.get("seed", 0),
-                                        config_hash=cfgmod.config_hash(cfg))
+    try:
+        stream = trajectory.simulate_stream(model, pump, det, duration,
+                                            cfg.get("seed", 0),
+                                            config_hash=cfgmod.config_hash(cfg))
+    except DurationError as exc:
+        flag = (f"--pulses {args.pulses}" if args.pulses
+                else f"--duration {args.duration!r}")
+        raise ConfigError(f"{flag}: {exc}") from None
     path = _out_path(args, args.name)
     clickio.write_click_stream(path, stream)
     print(path)

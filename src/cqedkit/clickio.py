@@ -1,8 +1,19 @@
 """File formats: click streams, histograms, spectra, and report blocks.
 
 All formats are plain text, diff-able, and byte-reproducible: CSV for
-data, flat `key = value` blocks for reports.  Click times are written
-with 0.1 ps precision.
+data, flat `key = value` blocks for reports.
+
+Click times are written with 0.1 ps precision, as integer tenths of a
+picosecond made in numpy.  The writer takes k = round-half-even(10 t)
+exactly from t = M * 2**E (np.frexp), which is the rounding of
+format(t, ".1f"), and writes the digits of k // 10, a point and k % 10,
+so the bytes are those of f"{ch},{t:.1f}\n".  Negative times, -0.0 and
+times from 2**53 up keep that f-string.  The reader takes rows of the
+form `ch,<1-15 digits>.<digit>` as k / 10.0 for k their digits: below
+2**53 both k and 10 are exact float64s, so the division is the correctly
+rounded value of k/10, as float() of the token is.  Any other row goes
+through float() itself, and a file the vectorised checks refuse goes to
+the line scan, the only path that names a bad line.
 """
 import io
 import math
@@ -19,14 +30,70 @@ CLICK_COLUMNS = "channel,time_ps"
 CLICK_CHANNELS = ("C", "X", "D")
 
 
+#: 2**53: a float64 below it is M * 2**E with integers M < 2**53 and
+#: E <= 0, and every integer up to it is a float64
+_EXACT = 2 ** 53
+
+
+def _tenths(times: np.ndarray) -> np.ndarray:
+    """Exact round-half-even(10 t) of times 0 <= t < 2**53, as int64: the
+    k with format(t, ".1f") == f"{k // 10}.{k % 10}"."""
+    m, e = np.frexp(times)  # t = m * 2**e, 0.5 <= m < 1
+    ten_m = (m * _EXACT).astype(np.int64) * 10  # 10 M < 2**57
+    # 10 t = 10 M / 2**shift; from shift 58 on that is below one half,
+    # and 60 keeps every shift of 10 M inside int64
+    shift = np.minimum(53 - e.astype(np.int64), 60)
+    k = ten_m >> shift
+    rest = ten_m - (k << shift)
+    half = (1 << shift) >> 1  # 0 at shift 0, where rest is 0 and k even
+    return k + ((rest > half) | ((rest == half) & (k & 1 == 1)))
+
+
+def _click_rows(times: np.ndarray, channels: np.ndarray):
+    """The bytes of rows f"{ch},{t:.1f}\\n", built as integer tenths;
+    None for a time that is negative, -0.0 or not below 2**53, or a
+    channel that is not one ASCII character."""
+    if not (times.dtype == np.float64 and channels.dtype == np.dtype("<U1")
+            and len(times) == len(channels)
+            and not np.signbit(times).any() and (times < _EXACT).all()):
+        return None
+    codes = channels.view("<u4")
+    if not ((codes > 0) & (codes < 128)).all():
+        return None
+    k = _tenths(times)
+    # digits of k // 10, from 1 to 16; rows of one count are a block, and
+    # sorted times give at most 16 of them
+    ndig = np.searchsorted(10 ** np.arange(2, 18, dtype=np.int64), k,
+                           side="right") + 1
+    starts = np.flatnonzero(np.diff(ndig, prepend=0)).tolist()
+    blocks = []
+    for a, b in zip(starts, starts[1:] + [len(k)]):
+        n = int(ndig[a])
+        # channel, comma, n digits, point, the tenths digit, newline
+        rows = np.empty((b - a, n + 5), dtype=np.uint8)
+        rows[:, 0] = codes[a:b]
+        rows[:, 1] = ord(",")
+        rows[:, n + 2] = ord(".")
+        rows[:, n + 4] = ord("\n")
+        rest = k[a:b]
+        for col in (n + 3, *range(n + 1, 1, -1)):  # last digit first
+            tens = rest // 10
+            rows[:, col] = rest - tens * 10 + ord("0")
+            rest = tens
+        blocks.append(rows.tobytes())
+    return b"".join(blocks)
+
+
 def write_click_stream(path, stream: ClickStream) -> None:
-    rows = "".join([f"{ch},{t:.1f}\n" for ch, t in
-                    zip(stream.channels.tolist(), stream.times.tolist())])
-    with open(path, "w") as fh:
-        fh.write(f"{CLICK_MAGIC} seed={stream.seed} "
-                 f"duration_ps={stream.duration!r} "
-                 f"confighash={stream.config_hash}\n"
-                 f"{CLICK_COLUMNS}\n{rows}")
+    header = (f"{CLICK_MAGIC} seed={stream.seed} "
+              f"duration_ps={stream.duration!r} "
+              f"confighash={stream.config_hash}\n{CLICK_COLUMNS}\n")
+    rows = _click_rows(stream.times, stream.channels)
+    if rows is None:
+        rows = "".join([f"{ch},{t:.1f}\n" for ch, t in zip(
+            stream.channels.tolist(), stream.times.tolist())]).encode()
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + rows)
 
 
 def _line_error(path, lineno: int, what: str) -> MalformedFileError:
@@ -103,24 +170,60 @@ def _parse_clicks(data: bytes):
     ends = np.flatnonzero(u == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
     heads = u[starts]
-    times_text = body.translate(None, b"," + _CHANNEL_BYTES)
-    # every row opens with a channel and a comma, and neither appears
-    # elsewhere; `and` looks past a row's first byte only if no row is empty
+    # every row opens with a channel and a comma; `and` looks past a row's
+    # first byte only if no row is empty
     if not (np.isin(heads, list(_CHANNEL_BYTES)).all()
-            and (u[starts + 1] == ord(",")).all()
-            and len(body) - len(times_text) == 2 * len(ends)):
+            and (u[starts + 1] == ord(",")).all()):
         return None
     # an ASCII byte is its own code point: <U1 without a string cast
     channels = heads.astype(np.uint32).view("U1")
+    times = _decimal_times(u, ends)
+    if times is None:
+        times_text = body.translate(None, b"," + _CHANNEL_BYTES)
+        # neither a channel nor a comma appears past a row's head
+        if len(body) - len(times_text) != 2 * len(ends):
+            return None
+        try:
+            times = np.array(times_text.split(b"\n")[:-1], dtype=np.float64)
+        except ValueError:  # a token float() rejects; so does the scan
+            return None
     try:
-        # a token float() rejects, or a time that is not finite or runs
-        # back: the scan rejects both
-        return ClickStream(times=np.array(times_text.split(b"\n")[:-1],
-                                          dtype=np.float64),
-                           channels=channels, duration=duration, seed=seed,
-                           config_hash=config_hash)
-    except ValueError:
+        return ClickStream(times=times, channels=channels, duration=duration,
+                           seed=seed, config_hash=config_hash)
+    except ValueError:  # a time that is not finite or runs back
         return None
+
+
+def _decimal_times(u: np.ndarray, ends: np.ndarray):
+    """Times of rows that all read `ch,<1-15 digits>.<digit>`, with row
+    lengths that never fall, as k / 10.0 for k the row's digits; None for
+    any other rows, or a k above 2**53."""
+    sizes = np.diff(ends, prepend=-1)  # bytes of each row, newline included
+    if not (len(sizes) and sizes[0] >= 6 and sizes[-1] <= 20
+            and (np.diff(sizes) >= 0).all()):
+        return None
+    k = np.empty(len(sizes), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()
+    for a, b in zip(starts, starts[1:] + [len(sizes)]):
+        size = int(sizes[a])
+        n = size - 5  # digits before the point
+        # the rows of one length, one per line of a view of the body
+        rows = u[ends[a] + 1 - size:ends[b - 1] + 1].reshape(b - a, size)
+        digits = rows[:, 2:size - 1] - ord("0")  # '.' wraps to 254
+        ok = digits < 10
+        ok[:, n] = rows[:, n + 2] == ord(".")
+        if not ok.all():
+            return None
+        block = digits[:, 0].astype(np.int64)
+        for col in (*range(1, n), n + 1):
+            block *= 10
+            block += digits[:, col]
+        k[a:b] = block
+    if k.max() > _EXACT:
+        return None
+    # k / 10 is one correctly rounded division of two exact float64s, and
+    # float() of the token is the correctly rounded value of the same k/10
+    return k / 10.0
 
 
 def _scan_clicks(path, data: bytes) -> ClickStream:
@@ -168,12 +271,12 @@ def _scan_clicks(path, data: bytes) -> ClickStream:
 
 
 def write_histogram(path, h: CorrelationHistogram) -> None:
+    # counts are integers, except after accidental subtraction
+    rows = "".join([f"{float(t)!r},"
+                    f"{int(c) if float(c).is_integer() else repr(float(c))}\n"
+                    for t, c in zip(h.tau.tolist(), h.counts.tolist())])
     with open(path, "w") as fh:
-        fh.write("tau_ps,counts\n")
-        for t, c in zip(h.tau, h.counts):
-            # counts are integers, except after accidental subtraction
-            c = int(c) if float(c).is_integer() else repr(float(c))
-            fh.write(f"{float(t)!r},{c}\n")
+        fh.write("tau_ps,counts\n" + rows)
 
 
 def write_spectrum(path, s: Spectrum) -> None:

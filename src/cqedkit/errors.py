@@ -13,6 +13,10 @@ class PeakWindowError(ConfigError, ValueError):
     """Correlation window too short for the requested pulsed peak areas."""
 
 
+class DurationError(ConfigError, ValueError):
+    """Run duration holding more pulses or excitations than an array can."""
+
+
 class MalformedFileError(ConfigError, ValueError):
     """Input file that does not parse as its format."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientStatisticsError
+from .errors import ConfigError, DurationError, InsufficientStatisticsError
 from .lindblad import LindbladModel
 from .units import HBAR_UEV_PS
 
@@ -212,9 +212,21 @@ class SingleExcitationPropagator:
         return t_jump, channel
 
 
+#: the most float64s one array can hold: numpy sizes arrays in bytes
+#: with np.intp
+_MAX_EVENTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+def _check_events(n: int, what: str, duration: float) -> None:
+    """DurationError, before any array is made, if n events cannot be
+    one array."""
+    if n > _MAX_EVENTS:
+        raise DurationError(f"duration {duration!r} ps holds {n:.3g} {what}, "
+                            f"more than one array can hold ({_MAX_EVENTS})")
+
+
 def _pulsed_emissions(model, pump, duration, rng):
     """Emission (times, channels) for all pulses, vectorized in rounds."""
-    prop = SingleExcitationPropagator(model)
     lifetime_scale = 2.0 * HBAR_UEV_PS / (model.gamma_c + model.gamma_x)
     if pump.rep_period <= 10.0 * lifetime_scale:
         raise ConfigError(
@@ -223,6 +235,8 @@ def _pulsed_emissions(model, pump, duration, rng):
     n_pulses = int(duration // pump.rep_period)
     if n_pulses < 1:
         raise ConfigError("duration shorter than one pulse period")
+    _check_events(n_pulses, "pulses", duration)
+    prop = SingleExcitationPropagator(model)
     pulse_t = np.arange(n_pulses) * pump.rep_period
 
     excited = rng.random(n_pulses) < pump.excitation_prob
@@ -264,6 +278,7 @@ def _cw_emissions(model, pump, duration, rng):
     t_now = 0.0
     while t_now < duration:
         n = max(int((duration - t_now) / mean_cycle * 1.2) + 16, 16)
+        _check_events(n, "excitations in a batch", duration)
         gaps = rng.exponential(mean_gap, n)
         delays, chan = prop.sample_emissions(rng, n)
         emit = t_now + np.cumsum(gaps + delays)

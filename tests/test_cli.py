@@ -265,6 +265,27 @@ def test_simulate_golden_bytes(tmp_path, capsys):
                       b"confighash=492489c9edc257fe")
 
 
+def test_simulate_golden_bytes_ten_digit_times(tmp_path, capsys):
+    # sha256 of the click rows as the per-row f-string wrote them; times run
+    # to 10 integer digits, where the 2,000-pulse file above stops at 8
+    code, _, _ = run(capsys, "--out-dir", str(tmp_path), "--seed", "5",
+                     "simulate", "--preset", "single-photon-detuned",
+                     "--pulses", "100000")
+    assert code == 0
+    path = tmp_path / "clicks.csv"
+    header, _, rows = path.read_bytes().partition(b"\n")
+    assert hashlib.sha256(rows).hexdigest() == (
+        "76e515c8ed74cdb781b21daf13f9e8b329f82bbf15647c873cb18bbd686dc163")
+    assert header == (b"#cqed-click-v1 seed=5 duration_ps=1300000000.0 "
+                      b"confighash=492489c9edc257fe")
+    assert rows.endswith(b"\nC,1299987041.6\n")
+    # and it reads back to the line scan's arrays
+    back = clickio.read_click_stream(path)
+    want = clickio._scan_clicks(path, path.read_bytes())
+    assert np.array_equal(back.times, want.times)
+    assert np.array_equal(back.channels, want.channels)
+
+
 BAD_FLAGS = {
     # id: (command line, text on stderr); {clicks} and {spec} are input
     # files.  argparse names a flag it rejects as "argument --flag: ..."
@@ -301,6 +322,11 @@ BAD_FLAGS = {
     "duration_nan": ("simulate --duration=nan", "argument --duration"),
     "pulses_negative": ("simulate --pulses=-3", "argument --pulses"),
     "pulses_overflow": ("simulate --pulses=" + "9" * 401, "argument --pulses"),
+    # more pulses than one numpy array can hold: refused before any array
+    "pulses_beyond_an_array": ("simulate --pulses=100000000000000000000",
+                               "--pulses 100000000000000000000: duration"),
+    "duration_beyond_an_array": ("simulate --duration=1e300",
+                                 "--duration 1e+300: duration"),
     "t_step_0": ("sweep --t-step=0", "argument --t-step"),
     "t_step_negative": ("sweep --t-step=-1", "argument --t-step"),
     "t_min_above_t_max": ("sweep --t-min=12 --t-max=8",

@@ -208,3 +208,105 @@ def test_vectorised_click_read_agrees_with_line_scan(tmp_path, name):
                                   "signed_exponent"])
 def test_plain_click_files_take_the_vectorised_path(name):
     assert clickio._parse_clicks(CLICK_FILES[name]) is not None
+
+
+def per_row_rows(times, channels):
+    return "".join(f"{ch},{t:.1f}\n" for ch, t in zip(channels, times))
+
+
+def test_tenths_writer_matches_per_row_format_across_magnitudes(tmp_path):
+    rng = np.random.default_rng(20261019)
+    drawn = 10.0 ** rng.uniform(-3, 15, 20_000)
+    # multiples of 1/20 and 1/4 land on or beside the .x5 ties
+    near_ties = np.concatenate([rng.integers(0, 10**7, 2_000) / 20.0,
+                                rng.integers(0, 2**40, 2_000) * 0.25,
+                                1e9 + rng.integers(0, 100, 200) * 0.05])
+    edges = [0.0, 5e-324, 2.2e-308, 1e-300, 0.04, 0.05, 0.15, 0.25, 0.35,
+             0.95, 2.25, 9.95, 99.95, 1e9 + 0.25, 1e9 + 0.05, 1e15 + 0.3,
+             2.0**52 - 0.5, 2.0**52, 2.0**53 - 1]
+    times = np.sort(np.concatenate([drawn, near_ties, edges]))
+    channels = rng.choice(np.array(["C", "X", "D"]), len(times))
+    assert clickio._click_rows(times, channels) == (
+        per_row_rows(times, channels).encode())
+    s = ClickStream(times=times, channels=channels, duration=2.0**53, seed=1,
+                    config_hash="ab")
+    path = tmp_path / "clicks.csv"
+    clickio.write_click_stream(path, s)
+    assert path.read_bytes().partition(b"\n")[2].partition(b"\n")[2] == (
+        per_row_rows(times, channels).encode())
+
+
+@pytest.mark.parametrize("times", [
+    pytest.param([-2.5, -0.05, 0.0, 1.0], id="negative"),
+    pytest.param([-0.0, 0.0, 0.25], id="negative_zero"),
+    pytest.param([1.0, 2.0**53, 1e300], id="beyond_2_53"),
+])
+def test_times_outside_the_tenths_keep_the_per_row_format(tmp_path, times):
+    times = np.array(times)
+    channels = np.array(["C"] * len(times))
+    assert clickio._click_rows(times, channels) is None
+    s = ClickStream(times=times, channels=channels, duration=1.0, seed=0,
+                    config_hash="00")
+    path = tmp_path / "clicks.csv"
+    clickio.write_click_stream(path, s)
+    assert path.read_text().endswith("channel,time_ps\n"
+                                     + per_row_rows(times, channels))
+
+
+def click_file(tokens):
+    return HEADER + b"".join(b"C," + t + b"\n" for t in tokens)
+
+
+def float_tokens(k):
+    """Row tokens of integer tenths k, and float() of each."""
+    tokens = [f"{v // 10}.{v % 10}".encode() for v in k]
+    return tokens, np.array([float(t) for t in tokens])
+
+
+def test_decimal_rows_read_bit_equal_to_float(tmp_path):
+    rng = np.random.default_rng(15)
+    # 1 to 15 integer digits, up to k = 2**53 itself
+    k = [int(10 ** rng.uniform(0, 16)) for _ in range(5_000)]
+    k = sorted(v for v in k if v <= 2**53) + [2**53 - 1, 2**53]
+    assert max(len(str(v // 10)) for v in k) == 15
+    tokens, want = float_tokens(sorted(k))
+    data = click_file(tokens)
+    u = np.frombuffer(data.partition(b"\n")[2].partition(b"\n")[2], np.uint8)
+    fast = clickio._decimal_times(u, np.flatnonzero(u == ord("\n")))
+    assert fast is not None
+    path = tmp_path / "clicks.csv"
+    path.write_bytes(data)
+    for times in (fast, clickio.read_click_stream(path).times):
+        assert np.array_equal(times.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param([15, 2**53 + 1], id="15_digits_above_2_53"),
+    pytest.param([15, 10**16 + 7, 2**55 + 3, 10**17 - 1], id="16_digits"),
+    # 19 integer digits: k would overflow int64
+    pytest.param([15, 10**19 + 5, 2**64 + 1], id="19_digits"),
+])
+def test_rows_beyond_the_tenths_take_the_float_step(tmp_path, k):
+    tokens, want = float_tokens(k)
+    data = click_file(tokens)
+    u = np.frombuffer(data.partition(b"\n")[2].partition(b"\n")[2], np.uint8)
+    assert clickio._decimal_times(u, np.flatnonzero(u == ord("\n"))) is None
+    assert clickio._parse_clicks(data) is not None
+    path = tmp_path / "clicks.csv"
+    path.write_bytes(data)
+    times = clickio.read_click_stream(path).times
+    assert np.array_equal(times.view(np.int64), want.view(np.int64))
+
+
+def test_histogram_writer_bytes_match_per_row_loop(tmp_path):
+    tau = np.arange(-5, 6) * 130.0
+    for counts in (np.arange(11, dtype=np.int64) * 7,
+                   np.linspace(-2.5, 40.0, 11), np.full(11, 3.0)):
+        h = hbt.CorrelationHistogram(tau, counts, 130.0, 1e6, 10, 10, True)
+        path = tmp_path / "hist.csv"
+        clickio.write_histogram(path, h)
+        want = "tau_ps,counts\n"
+        for t, c in zip(tau, counts):
+            c = int(c) if float(c).is_integer() else repr(float(c))
+            want += f"{float(t)!r},{c}\n"
+        assert path.read_bytes() == want.encode()

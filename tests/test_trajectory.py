@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cqedkit import config, lindblad, trajectory
-from cqedkit.errors import ConfigError
+from cqedkit.errors import ConfigError, DurationError
 from cqedkit.lindblad import LindbladModel, Operators
 from cqedkit.trajectory import (ClickStream, DetectorModel, PumpSchedule,
                                 SingleExcitationPropagator, simulate_stream)
@@ -202,3 +202,16 @@ def test_config_errors():
         # pulse period must greatly exceed the emission lifetime
         simulate_stream(MODEL, PumpSchedule(rep_period=30.0), IDEAL,
                         1e5, seed=0)
+
+
+@pytest.mark.parametrize("pump", [
+    pytest.param(PUMP, id="pulsed"),
+    pytest.param(PumpSchedule(mode="resonant_cw", cw_pump_rate=1e-3), id="cw"),
+])
+def test_more_events_than_an_array_is_a_duration_error(pump):
+    # numpy refuses these sizes without allocating; the sampler refuses
+    # them first, with a ConfigError
+    for duration in (1e300, 2.0**64 * pump.rep_period):
+        with pytest.raises(DurationError, match="more than one array"):
+            simulate_stream(MODEL, pump, IDEAL, duration, seed=0)
+    assert issubclass(DurationError, ConfigError)
