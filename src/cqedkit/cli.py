@@ -43,6 +43,9 @@ EXIT_CODES = {
 BIN_WIDTH_PS = 130.0
 WINDOW_PS = 6.5 * cfgmod.REP_PERIOD_PS
 N_SIDE = 6
+#: the most temperatures one sweep computes: ten times a 1 mK step over
+#: the calibrated 6-40 K range
+MAX_SWEEP_TEMPS = 100_000
 
 
 def _load_config(args) -> dict:
@@ -91,6 +94,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"--t-min {args.t_min} and --t-max {args.t_max} must satisfy "
             f"{calib.t_min} <= t_min <= t_max <= {calib.t_max} K")
+    if (args.t_max - args.t_min) / args.t_step >= MAX_SWEEP_TEMPS:
+        raise ConfigError(f"--t-step {args.t_step}: more than "
+                          f"{MAX_SWEEP_TEMPS:,} temperatures from {args.t_min} "
+                          f"to {args.t_max} K")
     temps = np.arange(args.t_min, args.t_max + 1e-9, args.t_step)
     rows = []
     for t in temps:

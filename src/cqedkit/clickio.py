@@ -8,12 +8,12 @@ picosecond made in numpy.  The writer takes k = round-half-even(10 t)
 exactly from t = M * 2**E (np.frexp), which is the rounding of
 format(t, ".1f"), and writes the digits of k // 10, a point and k % 10,
 so the bytes are those of f"{ch},{t:.1f}\n".  Negative times, -0.0 and
-times from 2**53 up keep that f-string.  The reader takes rows of the
-form `ch,<1-15 digits>.<digit>` as k / 10.0 for k their digits: below
-2**53 both k and 10 are exact float64s, so the division is the correctly
-rounded value of k/10, as float() of the token is.  Any other row goes
-through float() itself, and a file the vectorised checks refuse goes to
-the line scan, the only path that names a bad line.
+times from 2**53 up keep that f-string.  The reader has two paths that
+check the header with one function.  Rows that all read
+`ch,<1-15 digits>.<digit>` are read at once, as k / 10.0 for k <= 2**53
+their digits: the division of two exact float64s is the correctly
+rounded k/10, as float() of the token is.  Any other file goes to the
+line scan, the only path that names a bad line.
 """
 import io
 import math
@@ -118,11 +118,23 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _header_meta(fields):
-    """(duration, seed, config_hash) of a header's `key=value` fields;
-    KeyError for a missing key, ValueError for a bad field."""
-    meta = dict(f.split("=", 1) for f in fields)
-    return float(meta["duration_ps"]), int(meta["seed"]), meta["confighash"]
+def _click_header(path, header: str, columns: str):
+    """(duration, seed, config_hash) of a click file's first two lines;
+    a bad one raises MalformedFileError."""
+    fields = header.split()
+    if not fields or fields[0] != CLICK_MAGIC:
+        raise MalformedFileError(f"{path}: not a {CLICK_MAGIC} file")
+    try:
+        meta = dict(f.split("=", 1) for f in fields[1:])
+        duration, seed = float(meta["duration_ps"]), int(meta["seed"])
+        config_hash = meta["confighash"]
+    except KeyError as exc:
+        raise MalformedFileError(f"{path}: header lacks {exc}") from None
+    except ValueError as exc:
+        raise _line_error(path, 1, f"bad header field ({exc})") from None
+    if columns.strip() != CLICK_COLUMNS:
+        raise _line_error(path, 2, f"expected {CLICK_COLUMNS!r}")
+    return duration, seed, config_hash
 
 
 def read_click_stream(path) -> ClickStream:
@@ -139,33 +151,27 @@ def read_click_stream(path) -> ClickStream:
 
 
 _CHANNEL_BYTES = "".join(CLICK_CHANNELS).encode()
-#: the bytes of a click file's rows on the vectorised path; any other
-#: byte sends the file to the line scan
-_ROW_BYTES = b"0123456789.+-eE,\n" + _CHANNEL_BYTES
 
 
 def _parse_clicks(data: bytes):
-    """The ClickStream of a plain click file, all rows checked at once;
-    None for any other file, which _scan_clicks then reads.
+    """The ClickStream of a file of the rows `simulate` writes, all rows
+    checked at once; None for any other file, which _scan_clicks then
+    reads.
 
-    It takes only what the scan takes, to equal arrays: a printable ASCII
-    header, the exact columns line, and rows of one channel byte, a comma
-    and a time token of [0-9.+-eE], each ending in a newline.
+    It takes an ASCII header without a carriage return and rows
+    `ch,<1-15 digits>.<digit>`, each ending in a newline, which the scan
+    reads to equal arrays.
     """
     head, _, rest = data.partition(b"\n")
     columns, _, body = rest.partition(b"\n")
-    if not (head.isascii() and head.decode().isprintable()
-            and columns == CLICK_COLUMNS.encode()
-            and (body.endswith(b"\n") or not body)
-            and not body.translate(None, _ROW_BYTES)):
-        return None
-    fields = head.decode().split()
-    if not fields or fields[0] != CLICK_MAGIC:
+    if not ((head + columns).isascii() and b"\r" not in head + columns
+            and (body.endswith(b"\n") or not body)):
         return None
     try:
-        duration, seed, config_hash = _header_meta(fields[1:])
-    except (KeyError, ValueError):
-        return None
+        duration, seed, config_hash = _click_header(None, head.decode(),
+                                                    columns.decode())
+    except MalformedFileError:  # the scan names the file, and reports a
+        return None             # byte that is not UTF-8 first
     u = np.frombuffer(body, dtype=np.uint8)
     ends = np.flatnonzero(u == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
@@ -175,22 +181,15 @@ def _parse_clicks(data: bytes):
     if not (np.isin(heads, list(_CHANNEL_BYTES)).all()
             and (u[starts + 1] == ord(",")).all()):
         return None
-    # an ASCII byte is its own code point: <U1 without a string cast
-    channels = heads.astype(np.uint32).view("U1")
     times = _decimal_times(u, ends)
     if times is None:
-        times_text = body.translate(None, b"," + _CHANNEL_BYTES)
-        # neither a channel nor a comma appears past a row's head
-        if len(body) - len(times_text) != 2 * len(ends):
-            return None
-        try:
-            times = np.array(times_text.split(b"\n")[:-1], dtype=np.float64)
-        except ValueError:  # a token float() rejects; so does the scan
-            return None
+        return None
+    # an ASCII byte is its own code point: <U1 without a string cast
+    channels = heads.astype(np.uint32).view("U1")
     try:
         return ClickStream(times=times, channels=channels, duration=duration,
                            seed=seed, config_hash=config_hash)
-    except ValueError:  # a time that is not finite or runs back
+    except ValueError:  # a time that runs back
         return None
 
 
@@ -199,8 +198,8 @@ def _decimal_times(u: np.ndarray, ends: np.ndarray):
     lengths that never fall, as k / 10.0 for k the row's digits; None for
     any other rows, or a k above 2**53."""
     sizes = np.diff(ends, prepend=-1)  # bytes of each row, newline included
-    if not (len(sizes) and sizes[0] >= 6 and sizes[-1] <= 20
-            and (np.diff(sizes) >= 0).all()):
+    if len(sizes) and not (sizes[0] >= 6 and sizes[-1] <= 20
+                           and (np.diff(sizes) >= 0).all()):
         return None
     k = np.empty(len(sizes), dtype=np.int64)
     starts = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()
@@ -219,7 +218,7 @@ def _decimal_times(u: np.ndarray, ends: np.ndarray):
             block *= 10
             block += digits[:, col]
         k[a:b] = block
-    if k.max() > _EXACT:
+    if k.max(initial=0) > _EXACT:
         return None
     # k / 10 is one correctly rounded division of two exact float64s, and
     # float() of the token is the correctly rounded value of the same k/10
@@ -231,20 +230,9 @@ def _scan_clicks(path, data: bytes) -> ClickStream:
     says what is wrong with a malformed one."""
     # universal newlines, as open() reads text
     fh = io.StringIO(_decode(path, data), newline=None)
-    header = fh.readline().rstrip("\n")
-    columns = fh.readline().strip()
+    duration, seed, config_hash = _click_header(path, fh.readline(),
+                                                fh.readline())
     lines = fh.read().splitlines()
-    fields = header.split()
-    if not fields or fields[0] != CLICK_MAGIC:
-        raise MalformedFileError(f"{path}: not a {CLICK_MAGIC} file")
-    try:
-        duration, seed, config_hash = _header_meta(fields[1:])
-    except KeyError as exc:
-        raise MalformedFileError(f"{path}: header lacks {exc}") from None
-    except ValueError as exc:
-        raise _line_error(path, 1, f"bad header field ({exc})") from None
-    if columns != CLICK_COLUMNS:
-        raise _line_error(path, 2, f"expected {CLICK_COLUMNS!r}")
 
     first_row = 3  # line number of rows[0]
     rows = [ln.partition(",") for ln in lines]

@@ -4,8 +4,9 @@ A run config is one JSON document with sections device / pump /
 detectors plus a seed.  The classes each section builds
 (LindbladModel, PumpSchedule, DetectorModel) own its keys and ranges, so
 an unknown key is rejected rather than silently falling back to a
-default.  Every output embeds the sha256 hash of the canonical (sorted,
-minimal) JSON encoding, making runs reproducible from the config alone.
+default; so is device.pump_x or feed_c, which no command reads.  Every
+output embeds the sha256 hash of the canonical (sorted, minimal) JSON
+encoding, making runs reproducible from the config alone.
 The HBT analysis settings (bin width, window, side peaks) are not config:
 they are flags of the correlate command (cli.py).
 """
@@ -82,6 +83,8 @@ PRESETS = {
 #: the config sections built into objects, and the classes that check them
 _SECTIONS = {"device": LindbladModel, "pump": PumpSchedule,
             "detectors": DetectorModel}
+#: LindbladModel rates of the master equation alone (lindblad.cw_g2)
+_UNREAD_DEVICE_KEYS = ("pump_x", "feed_c")
 
 
 def _field_error(path: str, what) -> ConfigError:
@@ -99,7 +102,8 @@ def validate_config(cfg: dict) -> dict:
     The seed is an int >= 0 and every section value but pump.mode a
     finite number.  Keys, required fields and ranges of the device, pump
     and detectors sections are checked by building their _SECTIONS
-    classes; e_x, e_c must also be > 0.
+    classes; e_x, e_c must also be > 0, and device.pump_x and feed_c,
+    which no command reads, must be absent.
     """
     if not isinstance(cfg, dict):
         raise _field_error("<root>", "expected an object")
@@ -122,6 +126,10 @@ def validate_config(cfg: dict) -> dict:
     for key in ("e_x", "e_c"):
         if cfg["device"].get(key, 1.0) <= 0:
             raise _field_error(f"device.{key}", "must be > 0")
+    for key in _UNREAD_DEVICE_KEYS:
+        if key in cfg["device"]:
+            raise _field_error(f"device.{key}", "no command reads it from a "
+                               "config; remove it")
     for section, cls in _SECTIONS.items():
         try:
             cls(**cfg.get(section, {}))

@@ -209,26 +209,23 @@ def figures_of_merit(g: float, gamma_c: float, gamma_x: float) -> FiguresOfMerit
     return FiguresOfMerit(purcell, eta, splitting, sc)
 
 
-def model_spectrum(p: SystemParams, wavelength_grid_nm, initial: str = "exciton"):
+def model_spectrum(p: SystemParams, wavelength_grid_nm):
     """Two-Lorentzian emission spectrum on a wavelength grid.
 
     Lines sit at Re(E_k) with FWHM 2|Im E_k|; amplitudes are the squared
-    coefficients of the initial excitation vector in the eigenbasis of the
-    mode matrix.  Normalized to unit area over the grid.
+    coefficients of the exciton start |e,0> in the eigenbasis of the mode
+    matrix.  Normalized to unit area over the grid.
     """
     from .specfit import Spectrum
     from .units import HC_UEV_NM
 
-    if initial not in ("exciton", "cavity"):
-        raise ValueError("initial must be 'exciton' or 'cavity'")
     lam = np.asarray(wavelength_grid_nm, dtype=float)
     if lam.ndim != 1 or len(lam) < 3:
         raise ValueError("wavelength grid must be 1-D with >= 3 points")
 
     m = mode_matrix(p)
     vals, vecs = np.linalg.eig(m)
-    psi0 = np.array([1.0, 0.0]) if initial == "exciton" else np.array([0.0, 1.0])
-    coeffs = np.linalg.solve(vecs, psi0)
+    coeffs = np.linalg.solve(vecs, np.array([1.0, 0.0]))
     weights = np.abs(coeffs) ** 2
     weights = weights / weights.sum()
 

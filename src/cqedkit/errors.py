@@ -14,7 +14,7 @@ class PeakWindowError(ConfigError, ValueError):
 
 
 class DurationError(ConfigError, ValueError):
-    """Run duration holding more pulses or excitations than an array can."""
+    """Run duration holding more pulses or excitations than a run samples."""
 
 
 class MalformedFileError(ConfigError, ValueError):

@@ -25,8 +25,7 @@ class LindbladModel:
     e_x, e_c, g, gamma_x, gamma_c in ueV.  pump_x (incoherent exciton
     pump), feed_c (Poissonian photon injection into the cavity) and
     transfer (phenomenological exciton -> cavity-photon feeding) are
-    rates in 1/ps.  dephasing is an optional pure-dephasing hook, off by
-    default.
+    rates in 1/ps.
     """
 
     e_x: float
@@ -37,12 +36,11 @@ class LindbladModel:
     pump_x: float = 0.0
     feed_c: float = 0.0
     transfer: float = 0.0
-    dephasing: float = 0.0
 
     def __post_init__(self):
         if self.gamma_x <= 0 or self.gamma_c <= 0:
             raise ValueError("gamma_x, gamma_c must be > 0")
-        for name in ("pump_x", "feed_c", "transfer", "dephasing"):
+        for name in ("pump_x", "feed_c", "transfer"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.g < 0:
@@ -111,8 +109,6 @@ def jump_channels(model: LindbladModel, ops: Operators) -> list[tuple[str, float
         channels.append(("feed", model.feed_c, ops.ad))
     if model.transfer > 0:
         channels.append(("transfer", model.transfer, ops.ad @ ops.sm))
-    if model.dephasing > 0:
-        channels.append(("dephase", model.dephasing, ops.num_x))
     return channels
 
 

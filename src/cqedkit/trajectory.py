@@ -212,17 +212,18 @@ class SingleExcitationPropagator:
         return t_jump, channel
 
 
-#: the most float64s one array can hold: numpy sizes arrays in bytes
-#: with np.intp
-_MAX_EVENTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+#: the most pulses, or CW excitations, one run samples on any machine:
+#: 1,000 times a 100,000-pulse Fig. 4 run.  A run near it takes minutes
+#: and gigabytes.
+_MAX_EVENTS = 10 ** 8
 
 
 def _check_events(n: int, what: str, duration: float) -> None:
-    """DurationError, before any array is made, if n events cannot be
-    one array."""
+    """DurationError, before any array is made, if n events exceed
+    _MAX_EVENTS."""
     if n > _MAX_EVENTS:
-        raise DurationError(f"duration {duration!r} ps holds {n:.3g} {what}, "
-                            f"more than one array can hold ({_MAX_EVENTS})")
+        raise DurationError(f"duration {duration!r} ps holds more {what} "
+                            f"than the {_MAX_EVENTS:,} one run may sample")
 
 
 def _pulsed_emissions(model, pump, duration, rng):
@@ -278,7 +279,7 @@ def _cw_emissions(model, pump, duration, rng):
     t_now = 0.0
     while t_now < duration:
         n = max(int((duration - t_now) / mean_cycle * 1.2) + 16, 16)
-        _check_events(n, "excitations in a batch", duration)
+        _check_events(n, "excitations", duration)
         gaps = rng.exponential(mean_gap, n)
         delays, chan = prop.sample_emissions(rng, n)
         emit = t_now + np.cumsum(gaps + delays)

@@ -322,13 +322,21 @@ BAD_FLAGS = {
     "duration_nan": ("simulate --duration=nan", "argument --duration"),
     "pulses_negative": ("simulate --pulses=-3", "argument --pulses"),
     "pulses_overflow": ("simulate --pulses=" + "9" * 401, "argument --pulses"),
-    # more pulses than one numpy array can hold: refused before any array
+    # more pulses than one run may sample: refused before any array
     "pulses_beyond_an_array": ("simulate --pulses=100000000000000000000",
                                "--pulses 100000000000000000000: duration"),
     "duration_beyond_an_array": ("simulate --duration=1e300",
                                  "--duration 1e+300: duration"),
+    "pulses_1e17": ("simulate --pulses=100000000000000000",
+                    "--pulses 100000000000000000: duration"),
+    "pulses_one_above_the_bound": ("simulate --pulses=100000001",
+                                   "--pulses 100000001: duration"),
     "t_step_0": ("sweep --t-step=0", "argument --t-step"),
     "t_step_negative": ("sweep --t-step=-1", "argument --t-step"),
+    # more temperatures than one sweep computes: refused before any array
+    "t_step_1e-300": ("sweep --t-step=1e-300", "--t-step 1e-300: more than"),
+    "t_step_above_the_bound": ("sweep --t-step=0.0001",
+                               "--t-step 0.0001: more than 100,000"),
     "t_min_above_t_max": ("sweep --t-min=12 --t-max=8",
                           "6.0 <= t_min <= t_max <= 40.0 K"),
     "t_min_nan": ("sweep --t-min=nan", "--t-min nan"),

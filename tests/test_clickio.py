@@ -168,6 +168,15 @@ CLICK_FILES = {
     "comma_late": edit_row(6, b"C3,00.0\n"),
     "channel_after_comma": edit_row(6, b"3,C00.0\n"),
     "unterminated_bad_row": PLAIN + b"5",
+    # the header rules, which both paths share
+    "columns_trailing_blanks": PLAIN.replace(b"time_ps\n", b"time_ps  \n"),
+    "seed_not_an_integer": PLAIN.replace(b"seed=7", b"seed=x"),
+    "no_confighash": PLAIN.replace(b" confighash=abcd", b""),
+    # a lone carriage return ends the scan's header line
+    "cr_in_header": PLAIN.replace(b" duration_ps", b"\rduration_ps"),
+    # a byte that is not UTF-8 is reported before a bad header
+    "bad_header_and_not_utf8": edit_row(6, b"C,\xff300.0\n").replace(
+        b"seed=7", b"seed=x"),
 }
 
 
@@ -204,10 +213,13 @@ def test_vectorised_click_read_agrees_with_line_scan(tmp_path, name):
                 == (want.duration, want.seed, want.config_hash))
 
 
-@pytest.mark.parametrize("name", ["plain", "zero_rows", "negative_zero",
-                                  "signed_exponent"])
-def test_plain_click_files_take_the_vectorised_path(name):
-    assert clickio._parse_clicks(CLICK_FILES[name]) is not None
+@pytest.mark.parametrize("name, vectorised", [
+    ("plain", True), ("zero_rows", True),
+    # rows that are not `ch,<digits>.<digit>` go to the line scan
+    ("negative_zero", False), ("signed_exponent", False),
+], ids=["plain", "zero_rows", "negative_zero", "signed_exponent"])
+def test_plain_click_files_take_the_vectorised_path(name, vectorised):
+    assert (clickio._parse_clicks(CLICK_FILES[name]) is not None) == vectorised
 
 
 def per_row_rows(times, channels):
@@ -291,7 +303,8 @@ def test_rows_beyond_the_tenths_take_the_float_step(tmp_path, k):
     data = click_file(tokens)
     u = np.frombuffer(data.partition(b"\n")[2].partition(b"\n")[2], np.uint8)
     assert clickio._decimal_times(u, np.flatnonzero(u == ord("\n"))) is None
-    assert clickio._parse_clicks(data) is not None
+    # the line scan reads them
+    assert clickio._parse_clicks(data) is None
     path = tmp_path / "clicks.csv"
     path.write_bytes(data)
     times = clickio.read_click_stream(path).times

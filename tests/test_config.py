@@ -112,6 +112,13 @@ BAD_CONFIGS = [
     pytest.param(("device", "gamma_c"), -85.0, "device", "gamma_c",
                  id="negative_gamma_c"),
     pytest.param(("device", "e_x"), 0.0, "device.e_x", "> 0", id="zero_e_x"),
+    # rates that no command reads from a config
+    pytest.param(("device", "pump_x"), 0.5, "device.pump_x", "no command",
+                 id="unread_pump_x"),
+    pytest.param(("device", "feed_c"), 0.2, "device.feed_c", "no command",
+                 id="unread_feed_c"),
+    pytest.param(("device", "dephasing"), 5.0, "device", "dephasing",
+                 id="removed_dephasing"),
     pytest.param(("pump", "mode"), "sideways", "pump", "sideways",
                  id="unknown_pump_mode"),
     pytest.param(("pump", "excitation_prob"), 1.5, "pump", "excitation_prob",
@@ -167,8 +174,7 @@ def test_seed_override_is_validated(tmp_path, capsys):
 def test_finite_configs_still_accepted():
     cfg = copy.deepcopy(config.DEFAULT_CONFIG)
     # ints where floats are usual, every optional field
-    cfg["device"].update(gamma_c=85, transfer=0, pump_x=0, feed_c=0,
-                         dephasing=0)
+    cfg["device"].update(gamma_c=85, transfer=0)
     cfg["pump"] = {"mode": "resonant_cw", "rep_period": 13000,
                    "excitation_prob": 0, "reservoir_mean": 0.5,
                    "capture_rate": 1, "background_feed_rate": 0,

@@ -170,7 +170,7 @@ def test_model_spectrum_shapes():
     e_c = wavelength_to_energy(936.35)
     # g = 0: single line at the exciton energy
     p0 = coupled.SystemParams(e_c, e_c, GX, 85.0, 0.0)
-    s = coupled.model_spectrum(p0, lam_grid, initial="exciton")
+    s = coupled.model_spectrum(p0, lam_grid)
     peak_lam = s.wavelength_nm[np.argmax(s.intensity)]
     assert peak_lam == pytest.approx(936.35, abs=0.01)
     assert np.trapezoid(s.intensity, s.wavelength_nm) == pytest.approx(1.0, abs=1e-6)

@@ -209,9 +209,10 @@ def test_config_errors():
     pytest.param(PumpSchedule(mode="resonant_cw", cw_pump_rate=1e-3), id="cw"),
 ])
 def test_more_events_than_an_array_is_a_duration_error(pump):
-    # numpy refuses these sizes without allocating; the sampler refuses
-    # them first, with a ConfigError
-    for duration in (1e300, 2.0**64 * pump.rep_period):
-        with pytest.raises(DurationError, match="more than one array"):
+    # the sampler refuses these before any array, with a ConfigError; the
+    # last is one pulse above the bound, or 1.3e9 CW excitations at 1/ns
+    for duration in (1e300, 2.0**64 * pump.rep_period,
+                     (trajectory._MAX_EVENTS + 1) * pump.rep_period):
+        with pytest.raises(DurationError, match="one run may sample"):
             simulate_stream(MODEL, pump, IDEAL, duration, seed=0)
     assert issubclass(DurationError, ConfigError)
