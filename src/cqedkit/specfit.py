@@ -4,7 +4,12 @@ Lorentzians are parameterized by area (not height) for stable covariance
 near merged peaks; each spectrum gets one constant baseline.  Fits are
 box-bounded least squares with an analytic Jacobian, solved by a small
 Levenberg-Marquardt loop projected onto the bounds (`_lm_box`), so a
-width that reaches its floor sits exactly on it.  A fitted temperature
+width that reaches its floor sits exactly on it.  A line whose seed FWHM
+is below a quarter of the sampling step is fitted in the coordinates
+(A w, c, w) instead: the data fix only its A w and centre, and in those
+coordinates the solver reaches the width floor in a few steps instead of
+sliding along A w = const.  Areas, covariance and the convergence flag
+are reported in the area coordinates either way.  A fitted temperature
 series is assembled into a branch-continued anticrossing from which
 (gamma_c, gamma_x, splitting, g) are inverted.
 """
@@ -62,6 +67,9 @@ class FitResult:
     covariance: np.ndarray     # 7x7, parameter order (A1,c1,w1,A2,c2,w2,b)
     reduced_chi2: float
     converged: bool
+    model_evals: int       # evaluations of the model by the solver
+    jacobian_evals: int    # evaluations of its Jacobian
+    status: int            # `_lm_box`'s stop code
 
     @property
     def center_errors(self) -> tuple[float, float]:
@@ -142,26 +150,29 @@ def double_lorentzian(lam, params):
 def double_lorentzian_jacobian(lam, params):
     """Analytic Jacobian of the model, shape (n_points, 7).
 
-    The columns are filled as rows of a C-contiguous (7, n) buffer, whose
-    transpose is returned.
+    Both lines are computed in one pass on (2, n) arrays, from one (2, 5)
+    array of per-line constants, into the rows of a C-contiguous (7, n)
+    buffer whose transpose is returned.
     """
-    p = np.asarray(params, dtype=float).tolist()
+    a1, c1, w1, a2, c2, w2, _ = np.asarray(params, dtype=float).tolist()
+    const = np.array([[c1, w1 * w1, 2.0 * w1 / math.pi,
+                       16.0 * a1 * w1 / math.pi, 2.0 * a1 / math.pi],
+                      [c2, w2 * w2, 2.0 * w2 / math.pi,
+                       16.0 * a2 * w2 / math.pi, 2.0 * a2 / math.pi]])
     jac = np.empty((7, len(lam)))
-    for k in (0, 3):
-        a, c, w = p[k:k + 3]
-        d = lam - c
-        d2 = d * d
-        inv = 4.0 * d2
-        inv += w * w
-        np.divide(1.0, inv, out=inv)
-        np.multiply(inv, 2.0 * w / math.pi, out=jac[k])
-        inv *= inv
-        d *= inv
-        np.multiply(d, 16.0 * a * w / math.pi, out=jac[k + 1])
-        d2 *= 4.0
-        d2 -= w * w
-        d2 *= inv
-        np.multiply(d2, 2.0 * a / math.pi, out=jac[k + 2])
+    d = lam - const[:, 0:1]
+    d2 = d * d
+    inv = 4.0 * d2
+    inv += const[:, 1:2]
+    np.divide(1.0, inv, out=inv)
+    np.multiply(inv, const[:, 2:3], out=jac[0:6:3])
+    inv *= inv
+    d *= inv
+    np.multiply(d, const[:, 3:4], out=jac[1:6:3])
+    d2 *= 4.0
+    d2 -= const[:, 1:2]
+    d2 *= inv
+    np.multiply(d2, const[:, 4:5], out=jac[2:6:3])
     jac[6] = 1.0
     return jac.T
 
@@ -369,6 +380,26 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
     at most 600 model evaluations; converged means it stopped on ftol
     (1e-10), xtol (1e-12) or gtol (1e-8) with neither FWHM on its upper
     bound of 10x the span, where a line has turned into a second baseline.
+    The result carries the solver's model and Jacobian evaluations and its
+    stop code.
+
+    A line whose seed FWHM is below a quarter of the smallest sampling
+    step is fitted in (h = A w, c, w) instead of (A, c, w).  Such a line
+    has at most one sample within two FWHMs of its centre, and off its
+    core a line puts about A w / (2 pi d^2) on a sample at distance d, so
+    the data fix only h and c.  In area coordinates the fit slides along
+    the curved ridge A w = const, about 2% of w per step, until the
+    width reaches its floor; in (h, c, w) that ridge is a straight line
+    along w, and Gauss-Newton steps follow it.  The Jacobian columns
+    follow by the chain rule, d/dh = (d/dA) / w and d/dw at fixed h =
+    d/dw at fixed A - (d/dA) A / w, and the area-coordinate Jacobian at
+    the solution, which gives the covariance, is transformed back from
+    the last one.  The lower bound of h is that of A times the upper bound
+    of w, so A = h / w stays above its own bound.  Every other line, and
+    every fit without such a line, keeps the area coordinates and the same
+    arithmetic.  Wider lines stay in area coordinates because a line the
+    grid resolves is fitted no better in (h, c, w): on a resonant noisy
+    doublet the area coordinates end at a lower cost.
 
     sigma: optional per-point standard deviations for heteroscedastic
     weighting (e.g. multiplicative detection noise); default unweighted.
@@ -396,22 +427,51 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
         w = 1.0 / np.maximum(sigma, 1e-3 * np.max(sigma))
 
     span = lam[-1] - lam[0]
+    step = float(np.min(np.diff(lam)))
     w_min = width_floor(lam)
     lo = np.array([1e-300, lam[0] - span, w_min,
                    1e-300, lam[0] - span, w_min, -np.inf])
     hi = np.array([np.inf, lam[-1] + span, 10 * span,
                    np.inf, lam[-1] + span, 10 * span, np.inf])
+    # a seed line below a quarter step is fitted in (h = A w, c, w)
+    x0 = np.clip(seed, lo, hi)
+    sub = [k for k in (0, 3) if x0[k + 2] < 0.25 * step]
+    lo_q, q0 = lo.copy(), x0.copy()
+    for k in sub:
+        lo_q[k] = lo[k] * hi[k + 2]  # so that A = h / w >= lo[k] on the box
+        q0[k] = max(x0[k] * x0[k + 2], lo_q[k])
+    evals = [0, 0]
 
-    p, r, jac, status = _lm_box(
-        lambda p: (double_lorentzian(lam, p) - y) * w,
-        lambda p: double_lorentzian_jacobian(lam, p) * w[:, None],
-        np.clip(seed, lo, hi), lo, hi,
-        ftol=1e-10, xtol=1e-12, gtol=1e-8, max_nfev=MAX_ITERATIONS * 3)
+    def areas(q):
+        p = q.copy()
+        for k in sub:
+            p[k] = q[k] / q[k + 2]
+        return p
+
+    def fun(q):
+        evals[0] += 1
+        return (double_lorentzian(lam, areas(q)) - y) * w
+
+    def jac(q):
+        evals[1] += 1
+        p = areas(q)
+        J = double_lorentzian_jacobian(lam, p) * w[:, None]
+        for k in sub:
+            J[:, k] /= p[k + 2]            # d/dh = (d/dA) / w
+            J[:, k + 2] -= J[:, k] * p[k]  # d/dw at fixed h
+        return J
+
+    q, r, J, status = _lm_box(fun, jac, q0, lo_q, hi, ftol=1e-10, xtol=1e-12,
+                              gtol=1e-8, max_nfev=MAX_ITERATIONS * 3)
+    p = areas(q)
+    for k in sub:  # the area-coordinate Jacobian at the solution
+        J[:, k + 2] += J[:, k] * p[k]
+        J[:, k] *= p[k + 2]
     converged = bool(status > 0 and max(p[2], p[5]) < hi[2])
 
     dof = len(lam) - 7
     variance = (r @ r) / dof
-    cov = variance * np.linalg.pinv(jac.T @ jac)
+    cov = variance * np.linalg.pinv(J.T @ J)
 
     first, second = (0, 3) if p[1] <= p[4] else (3, 0)
     if first == 3:  # keep covariance aligned with the reported peak order
@@ -421,7 +481,8 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
         LorentzianParams(p[first + 1], p[first + 2], p[first]),
         LorentzianParams(p[second + 1], p[second + 2], p[second]),
     )
-    return FitResult(peaks, float(p[6]), cov, float(variance), converged)
+    return FitResult(peaks, float(p[6]), cov, float(variance), converged,
+                     evals[0], evals[1], status)
 
 
 def _params_of(fit: FitResult) -> np.ndarray:

@@ -58,6 +58,42 @@ def test_jacobian_matches_finite_differences():
         assert np.max(np.abs(jac[:, k] - fd)) < 1e-5 * scale
 
 
+def test_jacobian_equals_per_line_loop():
+    # reference: the Jacobian computed one line at a time, same operations
+    def per_line(lam, params):
+        p = np.asarray(params, dtype=float).tolist()
+        jac = np.empty((7, len(lam)))
+        for k in (0, 3):
+            a, c, w = p[k:k + 3]
+            d = lam - c
+            d2 = d * d
+            inv = 4.0 * d2
+            inv += w * w
+            np.divide(1.0, inv, out=inv)
+            np.multiply(inv, 2.0 * w / np.pi, out=jac[k])
+            inv *= inv
+            d *= inv
+            np.multiply(d, 16.0 * a * w / np.pi, out=jac[k + 1])
+            d2 *= 4.0
+            d2 -= w * w
+            d2 *= inv
+            np.multiply(d2, 2.0 * a / np.pi, out=jac[k + 2])
+        jac[6] = 1.0
+        return jac.T
+
+    rng = np.random.default_rng(29)
+    cases = model_cases() + [(grid(), TRUE)]
+    for _ in range(200):
+        lam = np.sort(rng.uniform(900.0, 960.0, int(rng.integers(8, 120))))
+        cases.append((lam, [rng.uniform(1e-6, 5.0), rng.uniform(900.0, 960.0),
+                            10 ** rng.uniform(-5, 1), rng.uniform(1e-6, 5.0),
+                            rng.uniform(900.0, 960.0), 10 ** rng.uniform(-5, 1),
+                            rng.uniform(-1.0, 1.0)]))
+    for lam, params in cases:
+        assert np.array_equal(double_lorentzian_jacobian(lam, params),
+                              per_line(lam, params))
+
+
 def model_cases():
     """(grid, params) pairs: random lines, and a line on the width floor,
     each params given as an ndarray, a list and a tuple."""
@@ -126,6 +162,8 @@ def test_fits_evaluate_through_the_module_level_model(monkeypatch):
         out = fit(*args, **kwargs)
         per_fit.append((calls["model"] - before["model"],
                         calls["jacobian"] - before["jacobian"]))
+        assert (out.model_evals, out.jacobian_evals) == per_fit[-1]
+        assert out.status in (0, 1, 2, 3)
         return out
 
     monkeypatch.setattr(specfit, "double_lorentzian", counted_model)
@@ -240,6 +278,100 @@ def test_fresh_fits_land_exactly_on_width_floor():
             near.append(narrow / floor)
     assert len(near) >= 10
     assert near == [1.0] * len(near)
+
+
+def area_coordinate_fit(s, seed, sigma):
+    """(reduced chi^2, model evaluations) of `_lm_box` in the area
+    coordinates (A, c, w) from the fit's start, or None when no line of
+    that start is below a quarter step."""
+    lam, y = s.wavelength_nm, s.intensity
+    step = np.min(np.diff(lam))
+    span = lam[-1] - lam[0]
+    floor = step / 50.0
+    lo = np.array([1e-300, lam[0] - span, floor, 1e-300, lam[0] - span, floor,
+                   -np.inf])
+    hi = np.array([np.inf, lam[-1] + span, 10 * span, np.inf, lam[-1] + span,
+                   10 * span, np.inf])
+    x0 = np.clip(initial_guess(s) if seed is None else seed, lo, hi)
+    if min(x0[2], x0[5]) >= 0.25 * step:
+        return None
+    w = 1.0 / np.maximum(sigma, 1e-3 * np.max(sigma))
+    calls = []
+
+    def fun(p):
+        calls.append(p)
+        return (double_lorentzian(lam, p) - y) * w
+
+    _, r, _, status = specfit._lm_box(
+        fun, lambda p: double_lorentzian_jacobian(lam, p) * w[:, None],
+        x0, lo, hi, 1e-10, 1e-12, 1e-8, 600)
+    assert status > 0
+    return (r @ r) / (len(lam) - 7), len(calls)
+
+
+def covariance_diagonal(s, sigma, fit):
+    """Diagonal of the covariance from the area-coordinate Jacobian at the
+    fit's parameters, in the fit's peak order."""
+    p1, p2 = fit.peaks
+    p = [p1.area, p1.center, p1.fwhm, p2.area, p2.center, p2.fwhm, fit.baseline]
+    w = 1.0 / np.maximum(sigma, 1e-3 * np.max(sigma))
+    jac = double_lorentzian_jacobian(s.wavelength_nm, p) * w[:, None]
+    return fit.reduced_chi2 * np.diag(np.linalg.pinv(jac.T @ jac))
+
+
+def test_sub_grid_coordinates_reach_the_area_coordinate_fit():
+    # oracle: the area coordinates from the same start, for every fit whose
+    # start has a line below a quarter step.  A fresh fit, in a series or
+    # alone, must end at the same cost.  A warm start whose narrow line
+    # sits a grid step from the exciton (15.0 K) can end in another basin
+    # in either coordinates, so there the reported fit is compared: it
+    # must reach the lowest cost of its candidates' area-coordinate runs.
+    # The (A w, c, w) coordinates must take fewer evaluations in all, and
+    # the covariance must be that of the area coordinates.
+    fits = []
+    fit = specfit.fit_double_lorentzian
+
+    def recorded(s, seed=None, sigma=None):
+        out = fit(s, seed=seed, sigma=sigma)
+        fits.append((s, seed, sigma, out))
+        return out
+
+    series = [acceptance6_spectra(seed) for seed in range(20)]
+    series.append(acceptance6_spectra(10)[:2])  # the far-detuned 7.0 K case
+    evals = {"sub_grid": 0, "area": 0}
+    n_fresh = 0
+    for spectra in series:
+        fits.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfit, "fit_double_lorentzian", recorded)
+            reported = dict(fit_series(spectra, noise_fraction=0.05))
+        lowest = {}
+        for s, seed, sigma, got in fits:
+            t = s.temperature
+            lowest[t] = min(lowest.get(t, np.inf), got.reduced_chi2)
+            if (ref := area_coordinate_fit(s, seed, sigma)) is None:
+                continue
+            assert got.status > 0
+            assert np.allclose(np.diag(got.covariance),
+                               covariance_diagonal(s, sigma, got), rtol=1e-4)
+            if seed is None:
+                n_fresh += 1
+                assert got.reduced_chi2 == pytest.approx(ref[0], rel=1e-6)
+            lowest[t] = min(lowest[t], ref[0])
+            evals["sub_grid"] += got.model_evals
+            evals["area"] += ref[1]
+        for t, chi2 in lowest.items():
+            assert reported[t].reduced_chi2 == pytest.approx(chi2, rel=1e-6)
+        for s in spectra:
+            sigma = 0.05 * s.intensity
+            if (ref := area_coordinate_fit(s, None, sigma)) is not None:
+                n_fresh += 1
+                got = fit(s, sigma=sigma)
+                assert got.reduced_chi2 == pytest.approx(ref[0], rel=1e-6)
+                evals["sub_grid"] += got.model_evals
+                evals["area"] += ref[1]
+    assert n_fresh >= 20
+    assert evals["sub_grid"] < evals["area"]
 
 
 def test_line_on_upper_width_bound_is_unconverged():

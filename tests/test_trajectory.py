@@ -124,6 +124,40 @@ def test_detector_dead_time_enforces_gap():
             assert np.diff(t).min() >= 50.0
 
 
+def dead_time_reference(times, dead_time):
+    """The sequential rule click by click: keep a click at least dead_time
+    after the last kept one."""
+    keep = np.zeros(len(times), dtype=bool)
+    last = -np.inf
+    for i, t in enumerate(times):
+        if t - last >= dead_time:
+            keep[i] = True
+            last = t
+    return times[keep]
+
+
+def test_dead_time_keeps_the_sequential_rules_clicks():
+    rng = np.random.default_rng(23)
+    cases = [(np.array([]), 50.0), (np.array([10.0]), 50.0),
+             (np.array([5.0, 5.0, 5.0, 60.0, 60.0]), 50.0),      # ties
+             (np.arange(0.0, 1000.0, 50.0), 50.0),               # gaps = dead
+             (np.array([0.0, 30.0, 50.0, 80.0, 100.0]), 50.0),   # = dead to the last kept
+             (np.arange(0.0, 100.0, 0.5), 50.0),                 # all close
+             (np.arange(0.0, 10.0, 0.1), 0.3)]                   # inexact sums
+    for _ in range(200):
+        n = int(rng.integers(0, 400))
+        dead = float(rng.choice([1.0, 25.0, 50.0, 400.0]))
+        t = np.sort(rng.uniform(0.0, 20.0 * n, n))
+        if n:  # integer times make ties and gaps exactly equal to dead
+            t = np.sort(np.concatenate([t, rng.integers(0, 20 * n, n) * 25.0]))
+        cases.append((t, dead))
+    duration = 1e9
+    for times, dead in cases:
+        got = trajectory._apply_detector(times, DetectorModel(dead_time=dead),
+                                         rng, duration)
+        assert np.array_equal(got, dead_time_reference(np.sort(times), dead))
+
+
 def test_detector_jitter_preserves_count_scale():
     dur = 2000 * PUMP.rep_period
     sharp = simulate_stream(MODEL, PUMP, IDEAL, dur, seed=11)
