@@ -150,29 +150,26 @@ def double_lorentzian(lam, params):
 def double_lorentzian_jacobian(lam, params):
     """Analytic Jacobian of the model, shape (n_points, 7).
 
-    Both lines are computed in one pass on (2, n) arrays, from one (2, 5)
-    array of per-line constants, into the rows of a C-contiguous (7, n)
-    buffer whose transpose is returned.
+    The columns are filled as rows of a C-contiguous (7, n) buffer, whose
+    transpose is returned.
     """
-    a1, c1, w1, a2, c2, w2, _ = np.asarray(params, dtype=float).tolist()
-    const = np.array([[c1, w1 * w1, 2.0 * w1 / math.pi,
-                       16.0 * a1 * w1 / math.pi, 2.0 * a1 / math.pi],
-                      [c2, w2 * w2, 2.0 * w2 / math.pi,
-                       16.0 * a2 * w2 / math.pi, 2.0 * a2 / math.pi]])
+    p = np.asarray(params, dtype=float).tolist()
     jac = np.empty((7, len(lam)))
-    d = lam - const[:, 0:1]
-    d2 = d * d
-    inv = 4.0 * d2
-    inv += const[:, 1:2]
-    np.divide(1.0, inv, out=inv)
-    np.multiply(inv, const[:, 2:3], out=jac[0:6:3])
-    inv *= inv
-    d *= inv
-    np.multiply(d, const[:, 3:4], out=jac[1:6:3])
-    d2 *= 4.0
-    d2 -= const[:, 1:2]
-    d2 *= inv
-    np.multiply(d2, const[:, 4:5], out=jac[2:6:3])
+    for k in (0, 3):
+        a, c, w = p[k:k + 3]
+        d = lam - c
+        d2 = d * d
+        inv = 4.0 * d2
+        inv += w * w
+        np.divide(1.0, inv, out=inv)
+        np.multiply(inv, 2.0 * w / math.pi, out=jac[k])
+        inv *= inv
+        d *= inv
+        np.multiply(d, 16.0 * a * w / math.pi, out=jac[k + 1])
+        d2 *= 4.0
+        d2 -= w * w
+        d2 *= inv
+        np.multiply(d2, 2.0 * a / math.pi, out=jac[k + 2])
     jac[6] = 1.0
     return jac.T
 
@@ -427,15 +424,14 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
         w = 1.0 / np.maximum(sigma, 1e-3 * np.max(sigma))
 
     span = lam[-1] - lam[0]
-    step = float(np.min(np.diff(lam)))
     w_min = width_floor(lam)
     lo = np.array([1e-300, lam[0] - span, w_min,
                    1e-300, lam[0] - span, w_min, -np.inf])
     hi = np.array([np.inf, lam[-1] + span, 10 * span,
                    np.inf, lam[-1] + span, 10 * span, np.inf])
-    # a seed line below a quarter step is fitted in (h = A w, c, w)
+    # a seed line below a quarter step, 12.5 floors, is fitted in (A w, c, w)
     x0 = np.clip(seed, lo, hi)
-    sub = [k for k in (0, 3) if x0[k + 2] < 0.25 * step]
+    sub = [k for k in (0, 3) if x0[k + 2] < 12.5 * w_min]
     lo_q, q0 = lo.copy(), x0.copy()
     for k in sub:
         lo_q[k] = lo[k] * hi[k + 2]  # so that A = h / w >= lo[k] on the box

@@ -305,20 +305,12 @@ def _apply_detector(times, det, rng, duration):
         times = times + rng.normal(0.0, det.jitter_sigma, len(times))
     times = np.sort(times[(times >= 0.0) & (times < duration)])
     if det.dead_time > 0 and len(times) > 1:
-        # a click at least dead_time after the click before it is kept, as
-        # is the first; only the closer ones need the sequential rule
-        close = np.flatnonzero(np.diff(times) < det.dead_time) + 1
-        keep = np.ones(len(times), dtype=bool)
-        prev = -1
-        for i, before, t in zip(close.tolist(), times[close - 1].tolist(),
-                                times[close].tolist()):
-            if i != prev + 1:  # the click before is not close: it was kept
-                last = before
+        keep = np.zeros(len(times), dtype=bool)
+        last = -np.inf
+        for i, t in enumerate(times):
             if t - last >= det.dead_time:
+                keep[i] = True
                 last = t
-            else:
-                keep[i] = False
-            prev = i
         times = times[keep]
     return times
 

@@ -58,42 +58,6 @@ def test_jacobian_matches_finite_differences():
         assert np.max(np.abs(jac[:, k] - fd)) < 1e-5 * scale
 
 
-def test_jacobian_equals_per_line_loop():
-    # reference: the Jacobian computed one line at a time, same operations
-    def per_line(lam, params):
-        p = np.asarray(params, dtype=float).tolist()
-        jac = np.empty((7, len(lam)))
-        for k in (0, 3):
-            a, c, w = p[k:k + 3]
-            d = lam - c
-            d2 = d * d
-            inv = 4.0 * d2
-            inv += w * w
-            np.divide(1.0, inv, out=inv)
-            np.multiply(inv, 2.0 * w / np.pi, out=jac[k])
-            inv *= inv
-            d *= inv
-            np.multiply(d, 16.0 * a * w / np.pi, out=jac[k + 1])
-            d2 *= 4.0
-            d2 -= w * w
-            d2 *= inv
-            np.multiply(d2, 2.0 * a / np.pi, out=jac[k + 2])
-        jac[6] = 1.0
-        return jac.T
-
-    rng = np.random.default_rng(29)
-    cases = model_cases() + [(grid(), TRUE)]
-    for _ in range(200):
-        lam = np.sort(rng.uniform(900.0, 960.0, int(rng.integers(8, 120))))
-        cases.append((lam, [rng.uniform(1e-6, 5.0), rng.uniform(900.0, 960.0),
-                            10 ** rng.uniform(-5, 1), rng.uniform(1e-6, 5.0),
-                            rng.uniform(900.0, 960.0), 10 ** rng.uniform(-5, 1),
-                            rng.uniform(-1.0, 1.0)]))
-    for lam, params in cases:
-        assert np.array_equal(double_lorentzian_jacobian(lam, params),
-                              per_line(lam, params))
-
-
 def model_cases():
     """(grid, params) pairs: random lines, and a line on the width floor,
     each params given as an ndarray, a list and a tuple."""
@@ -285,15 +249,14 @@ def area_coordinate_fit(s, seed, sigma):
     coordinates (A, c, w) from the fit's start, or None when no line of
     that start is below a quarter step."""
     lam, y = s.wavelength_nm, s.intensity
-    step = np.min(np.diff(lam))
     span = lam[-1] - lam[0]
-    floor = step / 50.0
+    floor = specfit.width_floor(lam)
     lo = np.array([1e-300, lam[0] - span, floor, 1e-300, lam[0] - span, floor,
                    -np.inf])
     hi = np.array([np.inf, lam[-1] + span, 10 * span, np.inf, lam[-1] + span,
                    10 * span, np.inf])
     x0 = np.clip(initial_guess(s) if seed is None else seed, lo, hi)
-    if min(x0[2], x0[5]) >= 0.25 * step:
+    if min(x0[2], x0[5]) >= 12.5 * floor:
         return None
     w = 1.0 / np.maximum(sigma, 1e-3 * np.max(sigma))
     calls = []
@@ -304,7 +267,7 @@ def area_coordinate_fit(s, seed, sigma):
 
     _, r, _, status = specfit._lm_box(
         fun, lambda p: double_lorentzian_jacobian(lam, p) * w[:, None],
-        x0, lo, hi, 1e-10, 1e-12, 1e-8, 600)
+        x0, lo, hi, 1e-10, 1e-12, 1e-8, specfit.MAX_ITERATIONS * 3)
     assert status > 0
     return (r @ r) / (len(lam) - 7), len(calls)
 
