@@ -1,19 +1,2 @@
 """Simulation and analysis toolkit for a strongly coupled quantum
 dot-microcavity single photon source."""
-
-from .coupled import (SystemParams, eigen_energies, figures_of_merit,
-                      is_strongly_coupled, vacuum_rabi_splitting)
-from .hbt import correlate, pulsed_g2_zero
-from .lindblad import LindbladModel
-from .specfit import Spectrum, extract_coupling, fit_double_lorentzian
-from .trajectory import ClickStream, DetectorModel, PumpSchedule, simulate_stream
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ClickStream", "DetectorModel", "LindbladModel", "PumpSchedule",
-    "Spectrum", "SystemParams", "correlate", "eigen_energies",
-    "extract_coupling", "figures_of_merit", "fit_double_lorentzian",
-    "is_strongly_coupled", "pulsed_g2_zero", "simulate_stream",
-    "vacuum_rabi_splitting", "__version__",
-]

@@ -46,6 +46,9 @@ N_SIDE = 6
 #: the most temperatures one sweep computes: ten times a 1 mK step over
 #: the calibrated 6-40 K range
 MAX_SWEEP_TEMPS = 100_000
+#: the most delay bins one correlation histogram holds; the paper's
+#: analysis (WINDOW_PS at BIN_WIDTH_PS) has 1,301
+MAX_HIST_BINS = 1_000_000
 
 
 def _load_config(args) -> dict:
@@ -89,11 +92,14 @@ def cmd_eigen(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     p = cfgmod.build_system(cfg)
-    calib = specfit.TuningCalibration(resonance_temp=args.resonance_temp)
-    if not calib.t_min <= args.t_min <= args.t_max <= calib.t_max:
+    t_lo, t_hi = specfit.T_MIN_K, specfit.T_MAX_K
+    if not t_lo <= args.t_min <= args.t_max <= t_hi:
         raise ConfigError(
             f"--t-min {args.t_min} and --t-max {args.t_max} must satisfy "
-            f"{calib.t_min} <= t_min <= t_max <= {calib.t_max} K")
+            f"{t_lo} <= t_min <= t_max <= {t_hi} K")
+    if not t_lo <= args.resonance_temp <= t_hi:
+        raise ConfigError(f"--resonance-temp {args.resonance_temp} K is "
+                          f"outside the calibrated {t_lo}-{t_hi} K")
     if (args.t_max - args.t_min) / args.t_step >= MAX_SWEEP_TEMPS:
         raise ConfigError(f"--t-step {args.t_step}: more than "
                           f"{MAX_SWEEP_TEMPS:,} temperatures from {args.t_min} "
@@ -101,7 +107,8 @@ def cmd_sweep(args) -> int:
     temps = np.arange(args.t_min, args.t_max + 1e-9, args.t_step)
     rows = []
     for t in temps:
-        pair = coupled.eigen_energies(specfit.tuned_system(p, float(t), calib))
+        pair = coupled.eigen_energies(
+            specfit.tuned_system(p, float(t), args.resonance_temp))
         hi, lo = pair.upper, pair.lower
         rows.append((float(t), float(HC_UEV_NM / hi.real),
                      float(HC_UEV_NM / lo.real),
@@ -155,6 +162,14 @@ def cmd_correlate(args) -> int:
     if args.bin > args.window:
         raise ConfigError(f"--bin {args.bin} ps is wider than "
                           f"--window {args.window} ps")
+    # 2 window / bin + 1 bins; a quotient beyond the float range is inf
+    if 2.0 * args.window / args.bin >= MAX_HIST_BINS:
+        raise ConfigError(f"--window {args.window} ps at --bin {args.bin} ps: "
+                          f"more than {MAX_HIST_BINS:,} delay bins")
+    if args.rep_period < args.bin:
+        # a peak narrower than a bin has no bins of its own
+        raise ConfigError(f"--rep-period {args.rep_period} ps is shorter "
+                          f"than --bin {args.bin} ps")
     channels = args.channels.split(",")
     if len(channels) not in (1, 2):
         raise ConfigError("--channels takes one or two channel names")
@@ -215,7 +230,8 @@ def cmd_fit(args) -> int:
         series = specfit.fit_series([s for s, _ in pairs],
                                     noise_fraction=args.noise_fraction)
     else:
-        series = [(float(i), specfit.fit_double_lorentzian(s))
+        series = [(float(i), specfit.fit_double_lorentzian(
+                      s, sigma=specfit.noise_sigma(s, args.noise_fraction)))
                   for i, (s, _) in enumerate(pairs)]
     ext = None
     if tagged and len(series) >= 5:  # before any output: an error writes none

@@ -21,10 +21,6 @@ import numpy as np
 from .errors import DegenerateBranchesError, WeakCouplingError
 from .units import HBAR_UEV_PS
 
-# Branch labels by exciton weight of the (right) eigenvector.
-_EXCITON_LIKE_MIN = 0.6
-_CAVITY_LIKE_MAX = 0.4
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -59,8 +55,6 @@ class EigenPair:
 
     upper: complex
     lower: complex
-    upper_label: str
-    lower_label: str
 
 
 @dataclass(frozen=True)
@@ -86,14 +80,6 @@ def _eigenvalues(p: SystemParams) -> tuple[complex, complex]:
     return avg + rad, avg - rad
 
 
-def _label(exciton_weight: float) -> str:
-    if exciton_weight >= _EXCITON_LIKE_MIN:
-        return "exciton-like"
-    if exciton_weight <= _CAVITY_LIKE_MAX:
-        return "cavity-like"
-    return "mixed"
-
-
 def _exciton_weights(p: SystemParams, values) -> list[float]:
     """|exciton component|^2 of the normalized eigenvector of each value."""
     weights = []
@@ -112,12 +98,11 @@ def _exciton_weights(p: SystemParams, values) -> list[float]:
 
 
 def eigen_energies(p: SystemParams) -> EigenPair:
-    """Complex mode energies with branch labels, upper = larger Re."""
+    """Complex mode energies, upper = larger Re."""
     e1, e2 = _eigenvalues(p)
     if e1.real < e2.real:
         e1, e2 = e2, e1
-    w = _exciton_weights(p, (e1, e2))
-    return EigenPair(e1, e2, _label(w[0]), _label(w[1]))
+    return EigenPair(e1, e2)
 
 
 def is_strongly_coupled(p: SystemParams) -> bool:
@@ -142,12 +127,6 @@ def extract_coupling_strength(splitting: float, gamma_c: float, gamma_x: float) 
     if splitting <= 0:
         raise ValueError("splitting must be positive")
     return float(np.sqrt((splitting / 2.0) ** 2 + (gamma_c - gamma_x) ** 2 / 16.0))
-
-
-def branch_linewidths(p: SystemParams) -> tuple[float, float]:
-    """FWHM of (upper, lower) branch: 2*|Im E_k|.  Sums to gamma_c + gamma_x."""
-    pair = eigen_energies(p)
-    return 2.0 * abs(pair.upper.imag), 2.0 * abs(pair.lower.imag)
 
 
 def _exciton_branch(p: SystemParams) -> complex:

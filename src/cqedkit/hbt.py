@@ -87,11 +87,12 @@ def _peak_areas(h: CorrelationHistogram, rep_period: float, n_side: int):
         raise PeakWindowError(
             f"window {h.window} ps too small for {n_side} side peaks "
             f"at rep period {rep_period} ps (needs >= {needed} ps)")
+    # the peak index never falls along tau, so peak k is one run of bins
     peak_idx = np.rint(h.tau / rep_period).astype(int)
-    center = int(h.counts[peak_idx == 0].sum())
-    side = [int(h.counts[peak_idx == k].sum())
-            for k in range(-n_side, n_side + 1) if k != 0]
-    return center, np.array(side)
+    edges = np.searchsorted(peak_idx, np.arange(-n_side, n_side + 2)).tolist()
+    areas = [int(h.counts[lo:hi].sum()) for lo, hi in zip(edges, edges[1:])]
+    center = areas.pop(n_side)
+    return center, np.array(areas)
 
 
 def pulsed_g2_zero(h: CorrelationHistogram, rep_period: float,

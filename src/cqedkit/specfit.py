@@ -11,7 +11,9 @@ coordinates the solver reaches the width floor in a few steps instead of
 sliding along A w = const.  Areas, covariance and the convergence flag
 are reported in the area coordinates either way.  A fitted temperature
 series is assembled into a branch-continued anticrossing from which
-(gamma_c, gamma_x, splitting, g) are inverted.
+(gamma_c, gamma_x, splitting, g) are inverted.  Synthetic series tune
+the exciton and cavity lines with temperature by the fixed calibration
+below, crossing at a resonance temperature given per call.
 """
 import math
 from dataclasses import dataclass
@@ -24,6 +26,16 @@ from .errors import (AnticrossingError, InsufficientStatisticsError,
 from .units import HC_UEV_NM, local_energy_per_nm, wavelength_to_energy
 
 MAX_ITERATIONS = 200
+
+# Temperature tuning: the exciton red-shifts quadratically in T, the
+# cavity linearly; their relative shift spans RELATIVE_SPAN_NM over the
+# calibrated range and is zero at the resonance temperature, where both
+# lines sit at RESONANCE_WAVELENGTH_NM.
+RESONANCE_WAVELENGTH_NM = 936.35
+CAVITY_SLOPE_NM_PER_K = 0.006
+RELATIVE_SPAN_NM = 1.5
+T_MIN_K = 6.0
+T_MAX_K = 40.0
 
 
 @dataclass(frozen=True)
@@ -76,11 +88,6 @@ class FitResult:
         d = np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
         return float(d[1]), float(d[4])
 
-    @property
-    def fwhm_errors(self) -> tuple[float, float]:
-        d = np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
-        return float(d[2]), float(d[5])
-
 
 @dataclass(frozen=True)
 class MeasuredAnticrossing:
@@ -93,8 +100,6 @@ class MeasuredAnticrossing:
     fwhm_b: np.ndarray
     center_err_a: np.ndarray
     center_err_b: np.ndarray
-    fwhm_err_a: np.ndarray
-    fwhm_err_b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,27 +109,9 @@ class CouplingExtraction:
     splitting: float          # ueV
     g: float                  # ueV; see resolvable
     resonance_temperature: float
-    gamma_c_err: float
     splitting_err: float
     g_err: float
     resolvable: bool          # False => g is an upper bound
-
-
-@dataclass(frozen=True)
-class TuningCalibration:
-    """Phenomenological temperature tuning of the exciton and cavity lines.
-
-    The exciton red-shifts quadratically in T, the cavity linearly; the
-    exciton-cavity relative shift spans `relative_span_nm` over
-    [t_min, t_max] and crosses zero at `resonance_temp`.
-    """
-
-    resonance_temp: float = 10.5
-    resonance_wavelength_nm: float = 936.35
-    cavity_slope_nm_per_k: float = 0.006
-    relative_span_nm: float = 1.5
-    t_min: float = 6.0
-    t_max: float = 40.0
 
 
 def double_lorentzian(lam, params):
@@ -487,6 +474,12 @@ def _params_of(fit: FitResult) -> np.ndarray:
                      p2.area, p2.center, p2.fwhm, fit.baseline])
 
 
+def noise_sigma(s: Spectrum, noise_fraction: float):
+    """Per-point sigma of multiplicative noise, fraction * intensity; None
+    (unweighted) at a fraction of 0."""
+    return noise_fraction * s.intensity if noise_fraction > 0 else None
+
+
 def fit_series(spectra: list[Spectrum], noise_fraction: float = 0.0
                ) -> list[tuple[float, FitResult]]:
     """Fit a temperature-ordered list of spectra with warm starts.
@@ -495,14 +488,14 @@ def fit_series(spectra: list[Spectrum], noise_fraction: float = 0.0
     previous temperature's solution; the lower-cost result wins.  This
     suppresses spurious local optima near the anticrossing where the two
     lines merge.  noise_fraction > 0 enables multiplicative-noise
-    weighting (sigma = fraction * intensity).
+    weighting (`noise_sigma`).
     """
     out = []
     prev = None
     for s in spectra:
         if s.temperature is None:
             raise ValueError("every spectrum needs a temperature tag")
-        sigma = noise_fraction * s.intensity if noise_fraction > 0 else None
+        sigma = noise_sigma(s, noise_fraction)
         candidates = []
         if prev is not None:
             warm = fit_double_lorentzian(s, seed=_params_of(prev), sigma=sigma)
@@ -543,10 +536,6 @@ def assemble_anticrossing(series: list[tuple[float, FitResult]]) -> MeasuredAnti
     if np.any(np.diff(temps) <= 0):
         raise ValueError("temperature series must be strictly increasing")
 
-    n = len(series)
-    c_a = np.empty(n); w_a = np.empty(n); c_b = np.empty(n); w_b = np.empty(n)
-    ce_a = np.empty(n); ce_b = np.empty(n); we_a = np.empty(n); we_b = np.empty(n)
-
     # scales for the continuity metric
     all_w = np.concatenate([[f.peaks[0].fwhm, f.peaks[1].fwhm] for _, f in series])
     scale_c = max(np.median(all_w), 1e-9)
@@ -555,23 +544,17 @@ def assemble_anticrossing(series: list[tuple[float, FitResult]]) -> MeasuredAnti
     def cost(pk, c_prev, w_prev):
         return ((pk.center - c_prev) / scale_c) ** 2 + ((pk.fwhm - w_prev) / scale_w) ** 2
 
-    for i, (_, fit) in enumerate(series):
-        p0, p1 = fit.peaks
-        e0, e1 = fit.center_errors
-        f0, f1 = fit.fwhm_errors
-        if i == 0:
-            assign = (p0, p1, e0, e1, f0, f1)
-        else:
-            keep = cost(p0, c_a[i-1], w_a[i-1]) + cost(p1, c_b[i-1], w_b[i-1])
-            swap = cost(p1, c_a[i-1], w_a[i-1]) + cost(p0, c_b[i-1], w_b[i-1])
-            if keep <= swap:
-                assign = (p0, p1, e0, e1, f0, f1)
-            else:
-                assign = (p1, p0, e1, e0, f1, f0)
-        pa, pb, ea, eb, fa, fb = assign
-        c_a[i], w_a[i], c_b[i], w_b[i] = pa.center, pa.fwhm, pb.center, pb.fwhm
-        ce_a[i], ce_b[i], we_a[i], we_b[i] = ea, eb, fa, fb
-    return MeasuredAnticrossing(temps, c_a, w_a, c_b, w_b, ce_a, ce_b, we_a, we_b)
+    rows = []  # (center_a, fwhm_a, center_b, fwhm_b, center_err_a, center_err_b)
+    for _, fit in series:
+        (p0, p1), (e0, e1) = fit.peaks, fit.center_errors
+        if rows:
+            c_a, w_a, c_b, w_b = rows[-1][:4]
+            keep = cost(p0, c_a, w_a) + cost(p1, c_b, w_b)
+            swap = cost(p1, c_a, w_a) + cost(p0, c_b, w_b)
+            if keep > swap:
+                p0, p1, e0, e1 = p1, p0, e1, e0
+        rows.append((p0.center, p0.fwhm, p1.center, p1.fwhm, e0, e1))
+    return MeasuredAnticrossing(temps, *map(np.array, zip(*rows)))
 
 
 def extract_coupling(curve: MeasuredAnticrossing) -> CouplingExtraction:
@@ -631,7 +614,6 @@ def extract_coupling(curve: MeasuredAnticrossing) -> CouplingExtraction:
 
     gamma_c = float((w_sum + d) / 2.0)
     gamma_x = float(max((w_sum - d) / 2.0, 1e-6))
-    gamma_c_err = float(0.5 * np.hypot(w_sum_err, d_err))
 
     sep_err_nm = np.hypot(curve.center_err_a[i_min], curve.center_err_b[i_min])
     splitting_err = float(sep_err_nm * per_nm)
@@ -643,30 +625,29 @@ def extract_coupling(curve: MeasuredAnticrossing) -> CouplingExtraction:
     return CouplingExtraction(
         gamma_c, gamma_x, splitting, g,
         float(curve.temperature[i_min]),
-        gamma_c_err, splitting_err, g_err, resolvable)
+        splitting_err, g_err, resolvable)
 
 
-def temperature_tuning(temperature: float, calib: TuningCalibration | None = None
+def temperature_tuning(temperature: float, resonance_temp: float = 10.5
                        ) -> tuple[float, float]:
-    """(lambda_exciton, lambda_cavity) in nm at a temperature in K."""
-    if calib is None:
-        calib = TuningCalibration()
+    """(lambda_exciton, lambda_cavity) in nm at a temperature in K, for
+    lines that cross at resonance_temp."""
     t = float(temperature)
-    if not calib.t_min <= t <= calib.t_max:
+    if not T_MIN_K <= t <= T_MAX_K:
         raise ValueError(
             f"temperature {t} K outside calibrated range "
-            f"[{calib.t_min}, {calib.t_max}] K")
-    span_t2 = calib.t_max**2 - calib.t_min**2
-    delta = calib.relative_span_nm * (t**2 - calib.resonance_temp**2) / span_t2
-    lam_c = (calib.resonance_wavelength_nm
-             + calib.cavity_slope_nm_per_k * (t - calib.resonance_temp))
+            f"[{T_MIN_K}, {T_MAX_K}] K")
+    span_t2 = T_MAX_K**2 - T_MIN_K**2
+    delta = RELATIVE_SPAN_NM * (t**2 - resonance_temp**2) / span_t2
+    lam_c = (RESONANCE_WAVELENGTH_NM
+             + CAVITY_SLOPE_NM_PER_K * (t - resonance_temp))
     return lam_c + delta, lam_c
 
 
 def tuned_system(p: coupled.SystemParams, temperature: float,
-                 calib: TuningCalibration | None = None) -> coupled.SystemParams:
+                 resonance_temp: float = 10.5) -> coupled.SystemParams:
     """p with its exciton and cavity lines tuned to a temperature in K."""
-    lam_x, lam_c = temperature_tuning(temperature, calib)
+    lam_x, lam_c = temperature_tuning(temperature, resonance_temp)
     return coupled.SystemParams(wavelength_to_energy(lam_x),
                                 wavelength_to_energy(lam_c),
                                 p.gamma_x, p.gamma_c, p.g)

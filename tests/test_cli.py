@@ -319,6 +319,21 @@ BAD_FLAGS = {
                      "argument --rep-period"),
     "rep_period_nan": ("correlate {clicks} --rep-period=nan",
                        "argument --rep-period"),
+    # more delay bins than one histogram holds: refused before any file
+    # is read or any array is made
+    "window_1e12_bin_1": ("correlate {missing} --window=1e12 --bin=1",
+                          "--window 1000000000000.0 ps at --bin 1.0 ps: "
+                          "more than 1,000,000 delay bins"),
+    "window_1e300_bin_1e-300": ("correlate {missing} --window=1e300 "
+                                "--bin=1e-300", "more than 1,000,000"),
+    "bin_1e-300": ("correlate {missing} --bin=1e-300", "more than 1,000,000"),
+    "bin_0.001": ("correlate {missing} --bin=0.001",
+                  "--window 84500.0 ps at --bin 0.001 ps: more than"),
+    # a peak narrower than a bin: refused before the peaks are summed
+    "rep_period_below_bin": ("correlate {missing} --rep-period=0.001 "
+                             "--n-side=10000000",
+                             "--rep-period 0.001 ps is shorter than "
+                             "--bin 130.0 ps"),
     "duration_nan": ("simulate --duration=nan", "argument --duration"),
     "pulses_negative": ("simulate --pulses=-3", "argument --pulses"),
     "pulses_overflow": ("simulate --pulses=" + "9" * 401, "argument --pulses"),
@@ -344,6 +359,11 @@ BAD_FLAGS = {
     "t_max_above_range": ("sweep --t-max=50", "--t-max 50.0"),
     "resonance_temp_nan": ("sweep --resonance-temp=nan",
                            "argument --resonance-temp"),
+    "resonance_temp_1e200": ("sweep --resonance-temp=1e200",
+                             "--resonance-temp 1e+200 K is outside the "
+                             "calibrated 6.0-40.0 K"),
+    "resonance_temp_50": ("sweep --resonance-temp=50",
+                          "--resonance-temp 50.0 K is outside"),
     "noise_fraction_negative": ("fit {spec} --noise-fraction=-1",
                                 "argument --noise-fraction"),
     "noise_fraction_nan": ("fit {spec} --noise-fraction=nan",
@@ -433,6 +453,27 @@ def test_fit_series_through_cli(tmp_path, capsys):
     assert float(coupling["g_ueV"]) == pytest.approx(35.0, rel=0.02)
     assert float(coupling["gamma_c_ueV"]) == pytest.approx(85.0, rel=0.05)
     assert coupling["splitting_resolvable"] == "True"
+
+
+def test_fit_weights_untagged_spectra_by_noise_fraction(tmp_path, capsys):
+    # an untagged spectrum is weighted as fit_series weights a tagged one
+    tagged, = write_series(tmp_path, [10.0], noise=0.05)
+    s = clickio.read_spectrum(tagged)
+    path = tmp_path / "untagged.csv"
+    clickio.write_spectrum(path, specfit.Spectrum(s.wavelength_nm, s.intensity))
+    code, out, _ = run(capsys, "fit", str(path), "--noise-fraction", "0.05")
+    assert code == 0 and out.count("[fit]") == 1
+    fit = specfit.fit_double_lorentzian(s, sigma=0.05 * s.intensity)
+    p1, p2 = fit.peaks
+    values = [p1.center, p1.fwhm, p1.area, p2.center, p2.fwhm, p2.area,
+              fit.baseline, fit.reduced_chi2]
+    assert clickio.parse_report(out) == {
+        "file": str(path),
+        **{key: repr(float(v)) for key, v in zip(
+            ["center_1_nm", "fwhm_1_nm", "area_1", "center_2_nm", "fwhm_2_nm",
+             "area_2", "baseline", "reduced_chi2"], values)},
+        "converged": str(fit.converged),
+    }
 
 
 def test_fit_series_keeps_line_narrower_than_smoothing(tmp_path):

@@ -4,9 +4,9 @@ import pytest
 from cqedkit import coupled, specfit
 from cqedkit.errors import NoSignalError
 from cqedkit.specfit import (LorentzianParams, MeasuredAnticrossing, Spectrum,
-                             TuningCalibration, double_lorentzian,
-                             double_lorentzian_jacobian, fit_double_lorentzian,
-                             fit_series, initial_guess, temperature_tuning)
+                             double_lorentzian, double_lorentzian_jacobian,
+                             fit_double_lorentzian, fit_series, initial_guess,
+                             temperature_tuning)
 from cqedkit.units import HBAR_UEV_PS, local_energy_per_nm, wavelength_to_energy
 # hc/x maps energy to wavelength as it maps wavelength to energy
 from cqedkit.units import wavelength_to_energy as energy_to_wavelength
@@ -489,7 +489,7 @@ def synthetic_curve(gamma_c=85.0, gamma_x=GX, g=35.0, center_err=1e-5):
         w_b.append(2 * abs(pair.lower.imag) / per_nm)
     z = np.full(len(temps), center_err)
     return MeasuredAnticrossing(temps, np.array(c_a), np.array(w_a),
-                                np.array(c_b), np.array(w_b), z, z, z, z)
+                                np.array(c_b), np.array(w_b), z, z)
 
 
 def test_extract_coupling_exact_inversion():
@@ -517,8 +517,7 @@ def test_extract_coupling_requires_spanning_resonance():
     half = MeasuredAnticrossing(*(np.asarray(getattr(curve, f))[:8]
                                   for f in ("temperature", "center_a", "fwhm_a",
                                             "center_b", "fwhm_b", "center_err_a",
-                                            "center_err_b", "fwhm_err_a",
-                                            "fwhm_err_b")))
+                                            "center_err_b")))
     with pytest.raises(ValueError):
         specfit.extract_coupling(half)
 
@@ -562,6 +561,31 @@ def test_assemble_anticrossing_needs_enough_fits():
         specfit.assemble_anticrossing([(10.0, fit)] * 3)
 
 
+def test_assemble_anticrossing_follows_lines_through_a_crossing():
+    # a narrow and a broad line cross in centre; each fit lists its peaks
+    # by centre, so past the crossing the narrow line is its second peak
+    temps = np.arange(6.0, 12.0)
+    narrow = 936.0 + 0.1 * np.arange(6)
+    broad = 936.55 - 0.1 * np.arange(6)
+    series = []
+    for t, c_n, c_b in zip(temps, narrow, broad):
+        lines = sorted([(c_n, 0.01, 1e-3), (c_b, 0.3, 2e-2)])
+        cov = np.zeros((7, 7))
+        cov[1, 1], cov[4, 4] = lines[0][2] ** 2, lines[1][2] ** 2
+        peaks = tuple(LorentzianParams(c, w, 1.0) for c, w, _ in lines)
+        series.append((float(t), specfit.FitResult(peaks, 0.0, cov, 1.0, True,
+                                                   10, 10, 2)))
+    assert series[3][1].peaks[0].fwhm == 0.3  # the crossing is reached
+    curve = specfit.assemble_anticrossing(series)
+    np.testing.assert_array_equal(curve.temperature, temps)
+    np.testing.assert_array_equal(curve.center_a, narrow)
+    np.testing.assert_array_equal(curve.fwhm_a, np.full(6, 0.01))
+    np.testing.assert_allclose(curve.center_err_a, 1e-3, rtol=1e-15)
+    np.testing.assert_array_equal(curve.center_b, broad)
+    np.testing.assert_array_equal(curve.fwhm_b, np.full(6, 0.3))
+    np.testing.assert_allclose(curve.center_err_b, 2e-2, rtol=1e-15)
+
+
 def test_fit_series_requires_temperature_tags():
     lam = grid()
     s = Spectrum(lam, double_lorentzian(lam, TRUE))
@@ -579,7 +603,7 @@ def test_temperature_tuning_calibration():
     assert rel[0] < 0 < rel[-1]
     assert all(a < b for a, b in zip(rel, rel[1:]))
     assert rel[-1] - rel[0] == pytest.approx(
-        TuningCalibration().relative_span_nm, rel=1e-9)
+        specfit.RELATIVE_SPAN_NM, rel=1e-9)
     with pytest.raises(ValueError):
         temperature_tuning(4.0)
     with pytest.raises(ValueError):
