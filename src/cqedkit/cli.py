@@ -124,22 +124,25 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def _click_stream(cfg: dict, pulses=None, duration=None):
+    """A checked config's click stream over `pulses` pulses or `duration`
+    ps; a run longer than one may sample is a ConfigError naming the flag."""
     model = cfgmod.build_model(cfg)
     pump = cfgmod.build_pump(cfg)
     det = cfgmod.build_detectors(cfg)
-    duration = args.pulses * pump.rep_period if args.pulses else args.duration
-    if duration is None:
+    if pulses is None and duration is None:
         raise ConfigError("give --duration or --pulses")
     try:
-        stream = trajectory.simulate_stream(model, pump, det, duration,
-                                            cfg.get("seed", 0),
-                                            config_hash=cfgmod.config_hash(cfg))
+        return trajectory.simulate_stream(
+            model, pump, det, pulses * pump.rep_period if pulses else duration,
+            cfg.get("seed", 0), config_hash=cfgmod.config_hash(cfg))
     except DurationError as exc:
-        flag = (f"--pulses {args.pulses}" if args.pulses
-                else f"--duration {args.duration!r}")
+        flag = f"--pulses {pulses}" if pulses else f"--duration {duration!r}"
         raise ConfigError(f"{flag}: {exc}") from None
+
+
+def cmd_simulate(args) -> int:
+    stream = _click_stream(_load_config(args), args.pulses, args.duration)
     path = _out_path(args, args.name)
     clickio.write_click_stream(path, stream)
     print(path)
@@ -156,6 +159,12 @@ def _histogram(streams, channels, window, bin_width):
                           bin_width=bin_width, duration=stream.duration)
         hist = h if hist is None else hist.merged_with(h)
     return hist
+
+
+def _g2_zero(hist, channels, rep_period, n_side):
+    """Pulsed g2(0) of an auto- (one channel) or cross-histogram (two)."""
+    estimate = hbt.cross_g2_zero if len(channels) == 2 else hbt.pulsed_g2_zero
+    return estimate(hist, rep_period, n_side=n_side)
 
 
 def cmd_correlate(args) -> int:
@@ -195,9 +204,8 @@ def cmd_correlate(args) -> int:
             (hist.n_a / dur + d_rate, hist.n_b / dur + d_rate))
 
     # estimate first, so that a failed estimate leaves no histogram behind
-    estimate = hbt.cross_g2_zero if len(channels) == 2 else hbt.pulsed_g2_zero
     try:
-        est = estimate(hist, args.rep_period, n_side=args.n_side)
+        est = _g2_zero(hist, channels, args.rep_period, args.n_side)
     except PeakWindowError as exc:
         # whole bins can cut the window short of the one asked for
         binned = (f"--window {args.window} ps at --bin {args.bin} ps bins "
@@ -265,72 +273,57 @@ def cmd_demo_paper(args) -> int:
     def check(name, value, target, tol):
         rows.append((name, value, target, tol))
 
-    stage = "mode structure"
-    try:
-        cfg = cfgmod.validate_config(cfgmod.DEFAULT_CONFIG)
-        p = cfgmod.build_system(cfg)
-        check("vacuum Rabi splitting (ueV)",
-              coupled.vacuum_rabi_splitting(p), 56.0, 1.0)
-        check("g / gamma_c", p.g / p.gamma_c, 0.412, 0.003)
-        fom = coupled.figures_of_merit(p.g, p.gamma_c, p.gamma_x)
-        check("Purcell factor", fom.purcell, 61.0, 7.0)
-        check("quantum efficiency", fom.efficiency, 0.973, 0.004)
+    cfg = cfgmod.validate_config(cfgmod.DEFAULT_CONFIG)
+    p = cfgmod.build_system(cfg)
+    check("vacuum Rabi splitting (ueV)",
+          coupled.vacuum_rabi_splitting(p), 56.0, 1.0)
+    check("g / gamma_c", p.g / p.gamma_c, 0.412, 0.003)
+    fom = coupled.figures_of_merit(p.g, p.gamma_c, p.gamma_x)
+    check("Purcell factor", fom.purcell, 61.0, 7.0)
+    check("quantum efficiency", fom.efficiency, 0.973, 0.004)
 
-        stage = "lifetimes"
-        delta = wavelength_to_energy(936.0) - wavelength_to_energy(936.7)
-        check("coupled lifetime at 0.7 nm detuning (ps)",
-              coupled.exciton_branch_lifetime(p.at_detuning(delta)), 620.0, 70.0)
-        check("inferred bare lifetime (ps)",
-              coupled.infer_bare_lifetime(620.0, delta, p.g, p.gamma_c),
-              702.5, 7.5)
+    delta = wavelength_to_energy(936.0) - wavelength_to_energy(936.7)
+    check("coupled lifetime at 0.7 nm detuning (ps)",
+          coupled.exciton_branch_lifetime(p.at_detuning(delta)), 620.0, 70.0)
+    check("inferred bare lifetime (ps)",
+          coupled.infer_bare_lifetime(620.0, delta, p.g, p.gamma_c),
+          702.5, 7.5)
 
-        stage = "spectral extraction"
-        temps = np.concatenate([np.arange(6, 8.6, 0.5),
-                                np.arange(9, 12.01, 0.25),
-                                np.arange(12.5, 16.01, 0.5)])
-        spectra = specfit.synthetic_anticrossing(
-            p, temps, np.random.default_rng(cfg["seed"]))
-        ext = specfit.extract_coupling(specfit.assemble_anticrossing(
-            specfit.fit_series(spectra, noise_fraction=0.05)))
-        check("fitted coupling g (ueV)", ext.g, 35.0, 0.05 * 35.0)
-        check("fitted cavity linewidth (ueV)", ext.gamma_c, 85.0, 0.05 * 85.0)
-        check("resonance temperature (K)", ext.resonance_temperature, 10.5, 0.5)
+    temps = np.concatenate([np.arange(6, 8.6, 0.5),
+                            np.arange(9, 12.01, 0.25),
+                            np.arange(12.5, 16.01, 0.5)])
+    spectra = specfit.synthetic_anticrossing(
+        p, temps, np.random.default_rng(cfg["seed"]))
+    ext = specfit.extract_coupling(specfit.assemble_anticrossing(
+        specfit.fit_series(spectra, noise_fraction=0.05)))
+    check("fitted coupling g (ueV)", ext.g, 35.0, 0.05 * 35.0)
+    check("fitted cavity linewidth (ueV)", ext.gamma_c, 85.0, 0.05 * 85.0)
+    check("resonance temperature (K)", ext.resonance_temperature, 10.5, 0.5)
 
-        stage = "photon statistics"
-        rep = cfgmod.REP_PERIOD_PS
+    def g2(stream, *channels):
+        h = _histogram([stream], channels, WINDOW_PS, BIN_WIDTH_PS)
+        return _g2_zero(h, channels, cfgmod.REP_PERIOD_PS, N_SIDE).value
 
-        def g2(stream, channels):
-            h = _histogram([stream], channels, WINDOW_PS, BIN_WIDTH_PS)
-            return hbt.pulsed_g2_zero(h, rep, n_side=N_SIDE).value
+    det_stream, res_stream = (
+        _click_stream(cfgmod.validate_config(c), args.pulses)
+        for c in (cfgmod.FIG4_DETUNED_CONFIG, cfgmod.FIG4_RESONANT_CONFIG))
+    if not np.isin(["C", "X"], det_stream.channels).all():
+        raise InsufficientStatisticsError(
+            f"--pulses {args.pulses}: the detuned run has no C or no X click")
+    rates = trajectory.channel_rates(det_stream)
+    check("cavity:exciton flux ratio (detuned)",
+          rates["C"][0] / rates["X"][0], 3.5, 0.3)
+    check("g2(0) resonant, cavity channel", g2(res_stream, "C"), 0.18, 0.08)
+    check("g2(0) detuned, exciton channel", g2(det_stream, "X"), 0.19, 0.08)
+    check("g2(0) detuned, cavity channel", g2(det_stream, "C"), 0.39, 0.08)
+    check("g2(0) detuned, cross X-C", g2(det_stream, "X", "C"), 0.22, 0.08)
 
-        n_pulses = args.pulses
-        det_cfg = cfgmod.validate_config(cfgmod.FIG4_DETUNED_CONFIG)
-        res_cfg = cfgmod.validate_config(cfgmod.FIG4_RESONANT_CONFIG)
-        det_stream = trajectory.simulate_stream(
-            cfgmod.build_model(det_cfg), cfgmod.build_pump(det_cfg),
-            cfgmod.build_detectors(det_cfg), n_pulses * rep, det_cfg["seed"])
-        res_stream = trajectory.simulate_stream(
-            cfgmod.build_model(res_cfg), cfgmod.build_pump(res_cfg),
-            cfgmod.build_detectors(res_cfg), n_pulses * rep, res_cfg["seed"])
-
-        rates = trajectory.channel_rates(det_stream)
-        check("cavity:exciton flux ratio (detuned)",
-              rates["C"][0] / rates["X"][0], 3.5, 0.3)
-        check("g2(0) resonant, cavity channel", g2(res_stream, "C"), 0.18, 0.08)
-        check("g2(0) detuned, exciton channel", g2(det_stream, "X"), 0.19, 0.08)
-        check("g2(0) detuned, cavity channel", g2(det_stream, "C"), 0.39, 0.08)
-        check("g2(0) detuned, cross X-C", g2(det_stream, "XC"), 0.22, 0.08)
-
-        stage = "continuous-wave correlation"
-        model = cfgmod.build_model(cfg).with_rates(pump_x=1e-4)
-        tau = np.linspace(0.0, 120.0, 241)
-        g2 = lindblad.cw_g2(model, tau, channel="X")
-        target = g2[-1] * (1.0 - 1.0 / np.e)
-        recovery = float(tau[np.argmax(g2 >= target)])
-        check("cw g2 recovery time (ps)", recovery, 17.5, 7.5)
-    except Exception as exc:
-        print(f"demo aborted during stage '{stage}': {exc}", file=sys.stderr)
-        raise
+    model = cfgmod.build_model(cfg).with_rates(pump_x=1e-4)
+    tau = np.linspace(0.0, 120.0, 241)
+    cw = lindblad.cw_g2(model, tau, channel="X")
+    target = cw[-1] * (1.0 - 1.0 / np.e)
+    recovery = float(tau[np.argmax(cw >= target)])
+    check("cw g2 recovery time (ps)", recovery, 17.5, 7.5)
 
     width = max(len(r[0]) for r in rows)
     print(f"{'quantity':<{width}}  {'computed':>10}  {'target':>14}  result")

@@ -13,7 +13,6 @@ whose eigenvalues are the complex mode energies
 with Delta = E_x - E_c.  Decaying modes carry negative imaginary part and
 the FWHM of branch k is 2*|Im E_k|.
 """
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,23 +79,6 @@ def _eigenvalues(p: SystemParams) -> tuple[complex, complex]:
     return avg + rad, avg - rad
 
 
-def _exciton_weights(p: SystemParams, values) -> list[float]:
-    """|exciton component|^2 of the normalized eigenvector of each value."""
-    weights = []
-    for lam in values:
-        # (M - lam) v = 0  =>  v ~ (g, lam - M00) up to normalization
-        v0 = complex(p.g)
-        v1 = complex(lam) - (p.e_x - 0.5j * p.gamma_x)
-        if abs(v0) <= 1e-8 and abs(v1) <= 1e-8:  # g = 0 and lam hits M00
-            weights.append(1.0)
-        else:
-            # np.linalg.norm's sum order, and numpy's complex division
-            norm = math.sqrt(v0.real * v0.real + v1.real * v1.real
-                             + (v0.imag * v0.imag + v1.imag * v1.imag))
-            weights.append(abs(v0 * (1.0 / norm)) ** 2)
-    return weights
-
-
 def eigen_energies(p: SystemParams) -> EigenPair:
     """Complex mode energies, upper = larger Re."""
     e1, e2 = _eigenvalues(p)
@@ -130,13 +112,20 @@ def extract_coupling_strength(splitting: float, gamma_c: float, gamma_x: float) 
 
 
 def _exciton_branch(p: SystemParams) -> complex:
-    """The mode energy whose eigenvector has the larger exciton weight."""
+    """The mode energy whose eigenvector has the larger exciton weight.
+
+    The eigenvector of lam is (g, lam - M00), whose exciton weight
+    g^2 / (g^2 + |lam - M00|^2) is the larger for the eigenvalue nearer
+    M00.  The two distances d1, d2 multiply to g^2, so the weights differ
+    by |d1 - d2| / (d1 + d2).
+    """
     e1, e2 = _eigenvalues(p)
-    w = _exciton_weights(p, (e1, e2))
-    if abs(w[0] - w[1]) < 1e-12:
+    m00 = complex(p.e_x, -0.5 * p.gamma_x)
+    d1, d2 = abs(e1 - m00), abs(e2 - m00)
+    if abs(d1 - d2) <= 1e-12 * (d1 + d2):
         raise DegenerateBranchesError(
             "branches degenerate in character; exciton branch undefined at resonance")
-    return e1 if w[0] > w[1] else e2
+    return e1 if d1 < d2 else e2
 
 
 def exciton_branch_lifetime(p: SystemParams) -> float:

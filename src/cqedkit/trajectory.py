@@ -286,19 +286,16 @@ def _cw_emissions(model, pump, duration, rng):
         times.append(emit)
         channels.append(chan)
         t_now = emit[-1]
-    times = np.concatenate(times)
-    channels = np.concatenate(channels)
-    keep = times < duration
-    return times[keep], channels[keep]
+    return np.concatenate(times), np.concatenate(channels)
 
 
 def _poisson_times(rate, duration, rng):
-    n = rng.poisson(rate * duration)
-    return np.sort(rng.uniform(0.0, duration, n))
+    return rng.uniform(0.0, duration, rng.poisson(rate * duration))
 
 
 def _apply_detector(times, det, rng, duration):
-    """Thinning, jitter and dead time for one channel's click list."""
+    """Thinning, jitter, the [0, duration) window, sorting and dead time
+    for one channel's emission times, given in any order."""
     if det.efficiency < 1.0:
         times = times[rng.random(len(times)) < det.efficiency]
     if det.jitter_sigma > 0:
@@ -329,16 +326,12 @@ def simulate_stream(model: LindbladModel, pump: PumpSchedule,
         emit_t, emit_ch = _pulsed_emissions(model, pump, duration, rng_phys)
     else:
         emit_t, emit_ch = _cw_emissions(model, pump, duration, rng_phys)
-    order = np.argsort(emit_t, kind="stable")
-    emit_t, emit_ch = emit_t[order], emit_ch[order]
-    keep = emit_t < duration
-    emit_t, emit_ch = emit_t[keep], emit_ch[keep]
 
     c_times = emit_t[emit_ch == 0]
     x_times = emit_t[emit_ch == 1]
     if pump.background_feed_rate > 0:
         bg = _poisson_times(pump.background_feed_rate, duration, rng_bg)
-        c_times = np.sort(np.concatenate([c_times, bg]))
+        c_times = np.concatenate([c_times, bg])
 
     c_times = _apply_detector(c_times, det, rng_det, duration)
     x_times = _apply_detector(x_times, det, rng_det, duration)

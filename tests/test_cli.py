@@ -369,6 +369,8 @@ BAD_FLAGS = {
     "noise_fraction_nan": ("fit {spec} --noise-fraction=nan",
                            "argument --noise-fraction"),
     "demo_pulses_0": ("demo-paper --pulses=0", "argument --pulses"),
+    "demo_pulses_one_above_the_bound": ("demo-paper --pulses=100000001",
+                                        "--pulses 100000001: duration"),
 }
 
 
@@ -390,6 +392,27 @@ def test_bad_flag_exits_2_naming_it(tmp_path, capsys, case):
     assert out == ""
     assert text in err and "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("pulses", ["1", "5"])
+def test_demo_paper_too_few_pulses_is_statistics_error(capsys, pulses):
+    # the detuned Fig. 4 run of so few pulses has no X click
+    code, out, err = run(capsys, "demo-paper", "--pulses", pulses)
+    assert code == cli.EXIT_STATISTICS
+    assert out == ""
+    assert err.startswith(f"error: --pulses {pulses}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_demo_paper_fails_only_the_acceptance_4_row(capsys):
+    code, out, err = run(capsys, "demo-paper")
+    assert code == 1 and err == ""
+    header, *rows, summary = out.splitlines()
+    assert header.split() == ["quantity", "computed", "target", "result"]
+    failed = [row[:row.index("  ")] for row in rows if row.endswith("FAIL")]
+    assert failed == ["inferred bare lifetime (ps)"]
+    assert all(row.endswith(("pass", "FAIL")) for row in rows)
+    assert summary == f"{len(rows) - 1}/{len(rows)} checks passed"
 
 
 @pytest.mark.parametrize("rows", [
