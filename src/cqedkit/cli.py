@@ -301,8 +301,14 @@ def cmd_demo_paper(args) -> int:
     check("resonance temperature (K)", ext.resonance_temperature, 10.5, 0.5)
 
     def g2(stream, *channels):
-        h = _histogram([stream], channels, WINDOW_PS, BIN_WIDTH_PS)
-        return _g2_zero(h, channels, cfgmod.REP_PERIOD_PS, N_SIDE).value
+        try:
+            h = _histogram([stream], channels, WINDOW_PS, BIN_WIDTH_PS)
+            return _g2_zero(h, channels, cfgmod.REP_PERIOD_PS, N_SIDE).value
+        except InsufficientStatisticsError as exc:
+            # a short run can leave a channel or every side peak empty
+            names = ",".join(channels)
+            raise InsufficientStatisticsError(
+                f"--pulses {args.pulses}: g2 of {names}: {exc}") from None
 
     det_stream, res_stream = (
         _click_stream(cfgmod.validate_config(c), args.pulses)
@@ -381,10 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="generate a click stream")
     with_config(sp)
-    sp.add_argument("--duration", type=_number(), default=None,
-                    help="acquisition time in ps")
-    sp.add_argument("--pulses", type=_number(int), default=None,
-                    help="number of excitation pulses (alternative to --duration)")
+    run = sp.add_mutually_exclusive_group()
+    run.add_argument("--duration", type=_number(), default=None,
+                     help="acquisition time in ps")
+    run.add_argument("--pulses", type=_number(int), default=None,
+                     help="number of excitation pulses (alternative to --duration)")
     sp.add_argument("--name", default="clicks.csv")
     sp.set_defaults(func=cmd_simulate)
 

@@ -2,18 +2,29 @@
 
 A pair (t_a, t_b) counts iff fl(t_a - edge) <= t_b < fl(t_a + edge), and
 its delay is fl(t_b - t_a).  Two `searchsorted` bounds give each time in
-a its partner range in b.  The longer stream gives the sources: when b is
-longer, the ranges are turned around by counting (b[j] pairs with the
-a[i] whose range has begun by j and not yet ended), so the pairs stay
-exactly the same.  The kernel then walks all ranges together, one
+a its partner range in b.  The kernel then walks all ranges together, one
 partner offset per step, binning the delays of the sources still inside
-their range.  There are as many steps as the largest partner count of a
-time in the longer stream, and no step holds more than one delay per
-source.
+their range.  There are as many steps as the longest range, and no step
+holds more than one delay per source.
+
+A cross-correlation walks the longer stream: when b is longer, the ranges
+are turned around by counting (b[j] pairs with the a[i] whose range has
+begun by j and not yet ended), so the pairs stay exactly the same.
+
+An autocorrelation (exclude_self, one stream t, and a window wider than
+an ulp of every time) walks each unordered pair {i, j}, i < j, once.
+The ranges are prefixes of the later times: (i, j) counts iff j < hi[i],
+and (j, i) iff j < J[i], the number of ranges begun by i, again found by
+counting.  hi <= J always, so the walk over i < j < hi[i] gathers t[j],
+subtracts d = fl(t[j] - t[i]) once and bins both +d and -d, whose bin
+is that of fl(t[i] - t[j]).  The pairs with hi[i] <= j < J[i] count one
+way only, as a delay that rounds onto the window edge can; a second,
+short walk bins their -d.  Self pairs are never visited, so there is
+nothing to subtract, and the walk takes about half the steps.
 
 For one source the bin is monotone in its partner's position: the delay,
 the division and the truncation all are.  So the bins of the sources'
-first and last partners bound every bin of the call.  They are checked
+first and last partners bound every bin of a walk.  They are checked
 once, before the walk, and the steps clip the bins into range only if
 that check finds one outside it, as a delay that rounds onto the window
 edge can.
@@ -40,47 +51,75 @@ def pair_histogram(a, b, window, bin_width, exclude_self=False):
         raise ValueError("times must be sorted ascending")
     n_half = int(round(window / bin_width))
     edge = (n_half + 0.5) * bin_width
-    n_bins = 2 * n_half + 1
-    counts = np.zeros(n_bins, dtype=np.int64)
+    counts = np.zeros(2 * n_half + 1, dtype=np.int64)
     # a[i] pairs with b[j] for lo[i] <= j < hi[i]
     lo = np.searchsorted(b, a - edge, side="left")
     hi = np.searchsorted(b, a + edge, side="left")
-    flip = len(a) < len(b)
-    src, oth = (b, a) if flip else (a, b)
-    if flip:
+    if (exclude_self and np.array_equal(a, b)
+            and (a + edge > a).all() and (a - edge < a).all()):
+        # every self pair counts, so lo[i] <= i < hi[i].  For j > i the
+        # pair (i, j) counts iff j < hi[i], and (j, i) iff lo[j] <= i,
+        # that is iff j < J[i], the number of ranges begun by i.  Since
+        # t[j] < fl(t[i] + edge) gives t[j] - edge <= t[i] exactly, hi <= J
+        J = np.cumsum(np.bincount(lo, minlength=len(a)))
+        start = np.arange(1, len(a) + 1)
+        _walk(counts, a, a, start, hi - start, (1, -1), edge, bin_width)
+        # a pair (j, i) with hi[i] <= j < J[i] counts one way only: its
+        # delay rounds onto the window edge
+        one_way = np.flatnonzero(J > hi)
+        _walk(counts, a[one_way], a, hi[one_way], J[one_way] - hi[one_way],
+              (-1,), edge, bin_width)
+        return counts
+    if len(a) < len(b):
         # b[j] pairs with a[i] for lo[j] <= i < hi[j]: lo[j] counts the
-        # ranges that end at or before j, hi[j] those that begin there
+        # ranges that end at or before j, hi[j] those that begin there;
+        # fl(t_b - t_a) is the negated delay of the walk from b
         lo, hi = (np.cumsum(np.bincount(x, minlength=len(b) + 1))[:len(b)]
                   for x in (hi, lo))
-
-    def delays(t, partner):
-        return t - partner if flip else partner - t  # fl(t_b - t_a) either way
-
-    def bins(d):
-        return ((d + edge) / bin_width).astype(np.int64)
-
-    # shortest range first: at step s the sources still inside their
-    # range are the suffix with span > s
-    span = hi - lo
-    order = np.argsort(span)
-    t, lo, span = src[order], lo[order], span[order]
-    # the bins of the first and last partners of the sources that have
-    # partners bound every bin of the call
-    i = np.searchsorted(span, 0, side="right")
-    first = delays(t[i:], oth[lo[i:]])
-    last = delays(t[i:], oth[lo[i:] + span[i:] - 1])
-    clip = i < len(span) and (bins(min(first.min(), last.min())) < 0 or
-                              bins(max(first.max(), last.max())) >= n_bins)
-    for s in range(span.max(initial=0)):
-        i = np.searchsorted(span, s, side="right")
-        k = bins(delays(t[i:], oth[s:][lo[i:]]))
-        if clip:
-            np.clip(k, 0, n_bins - 1, out=k)
-        counts += np.bincount(k, minlength=n_bins)
+        _walk(counts, b, a, lo, hi - lo, (-1,), edge, bin_width)
+    else:
+        _walk(counts, a, b, lo, hi - lo, (1,), edge, bin_width)
     if exclude_self:
         # self pairs land exactly in the zero-delay bin
         counts[n_half] -= len(a)
     return counts
+
+
+def _walk(counts, t, oth, lo, span, signs, edge, bin_width):
+    """Add to counts the bin of each sign times d = fl(oth[j] - t[i]),
+    for lo[i] <= j < lo[i] + span[i]; the bin of -d is that of the delay
+    fl(t[i] - oth[j]).  Reorders lo and span."""
+    n_bins = len(counts)
+
+    def bins(d, sign):
+        return ((edge + d if sign > 0 else edge - d) / bin_width).astype(np.int64)
+
+    # shortest range first: at step s the sources still inside their
+    # range are the suffix with span > s.  lo and span are sorted in
+    # place, so that no unsorted copy stays alive through the walk
+    order = np.argsort(span)
+    t = t[order]
+    np.take(lo, order, out=lo)  # buffered, so the aliasing is safe
+    np.take(span, order, out=span)
+    # the bins of the first and last partners of the sources that have
+    # partners bound every bin of the walk
+    i = np.searchsorted(span, 0, side="right")
+    clip = False
+    if i < len(span):
+        first = oth[lo[i:]] - t[i:]
+        last = oth[lo[i:] + span[i:] - 1] - t[i:]
+        ends = [bins(d, sign) for d in (min(first.min(), last.min()),
+                                        max(first.max(), last.max()))
+                for sign in signs]
+        clip = min(ends) < 0 or max(ends) >= n_bins
+    for s in range(span.max(initial=0)):
+        i = np.searchsorted(span, s, side="right")
+        d = oth[s:][lo[i:]] - t[i:]
+        for sign in signs:
+            k = bins(d, sign)
+            if clip:
+                np.clip(k, 0, n_bins - 1, out=k)
+            counts += np.bincount(k, minlength=n_bins)
 
 
 def bin_centers(window, bin_width):

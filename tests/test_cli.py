@@ -335,6 +335,10 @@ BAD_FLAGS = {
                              "--rep-period 0.001 ps is shorter than "
                              "--bin 130.0 ps"),
     "duration_nan": ("simulate --duration=nan", "argument --duration"),
+    # one run length, not one flag silently winning over the other
+    "pulses_and_duration": ("simulate --pulses=10 --duration=5",
+                            "argument --duration: not allowed with "
+                            "argument --pulses"),
     "pulses_negative": ("simulate --pulses=-3", "argument --pulses"),
     "pulses_overflow": ("simulate --pulses=" + "9" * 401, "argument --pulses"),
     # more pulses than one run may sample: refused before any array
@@ -402,6 +406,21 @@ def test_demo_paper_too_few_pulses_is_statistics_error(capsys, pulses):
     assert out == ""
     assert err.startswith(f"error: --pulses {pulses}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("pulses", range(1, 9))
+def test_demo_paper_few_pulses_prints_the_table_or_names_pulses(capsys,
+                                                                pulses):
+    # a short run can lack a channel or leave every side peak empty
+    code, out, err = run(capsys, "demo-paper", "--pulses", str(pulses))
+    assert "Traceback" not in err
+    if code == cli.EXIT_STATISTICS:
+        assert out == ""
+        assert err.startswith(f"error: --pulses {pulses}: ")
+        assert err.count("\n") == 1
+    else:
+        assert code in (0, 1) and err == ""
+        assert out.splitlines()[-1].endswith("checks passed")
 
 
 def test_demo_paper_fails_only_the_acceptance_4_row(capsys):

@@ -72,6 +72,22 @@ def test_same_object_twice_is_an_autocorrelation(kind):
     assert np.array_equal(h.counts, ref.counts)
 
 
+def test_autocorrelation_enters_the_kernel_once(monkeypatch):
+    # a profiler that wraps kernels.pair_histogram counts the pairs of a
+    # histogram from its one return value
+    from cqedkit import kernels
+    kernel, calls = kernels.pair_histogram, []
+
+    def counted(*args, **kwargs):
+        calls.append(kernel(*args, **kwargs))
+        return calls[-1]
+    monkeypatch.setattr(kernels, "pair_histogram", counted)
+    t = np.sort(np.random.default_rng(5).uniform(0, 1e5, 2000))
+    h = hbt.correlate(t, window=5000.0, bin_width=10.0, duration=1e5)
+    assert len(calls) == 1
+    assert calls[0].sum() == h.counts.sum() > 0
+
+
 def test_poisson_autocorrelation_is_flat_unity():
     rng = np.random.default_rng(1)
     t = poisson_stream(2e-3, 5e6, rng)

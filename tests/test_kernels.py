@@ -100,6 +100,56 @@ def test_delay_rounding_onto_the_window_edge_is_clipped(extra):
     assert got[-1] == 1 and got.sum() == 1 + extra
 
 
+def auto_contract(t, window, bin_width):
+    """contract() of a stream with itself, less its len(t) self pairs."""
+    want = contract(t, t, window, bin_width)
+    want[len(want) // 2] -= len(t)
+    return want
+
+
+def partner_ranges(t, window, bin_width):
+    """The kernel's lo and hi of t against itself, and J[i], the number of
+    ranges begun at or before i."""
+    edge = (int(round(window / bin_width)) + 0.5) * bin_width
+    lo = np.searchsorted(t, t - edge, side="left")
+    hi = np.searchsorted(t, t + edge, side="left")
+    return lo, hi, np.cumsum(np.bincount(lo, minlength=len(t)))
+
+
+@pytest.mark.parametrize("offset", [1e6, -1e6, 2.0**40])
+def test_autocorrelation_counts_pairs_that_count_one_way(offset):
+    # on a 1/3-ps grid a 10-ps bin puts the window edge at 45 grid steps:
+    # fl(t_j - edge) can round onto t_i while t_j >= fl(t_i + edge), so
+    # (j, i) counts and (i, j) does not
+    t = offset + np.arange(120) / 3.0
+    lo, hi, J = partner_ranges(t, 10.0, 10.0)
+    assert (hi <= J).all() and (hi != J).any()
+    got = kernels.pair_histogram(t, t, 10.0, 10.0, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, 10.0, 10.0))
+
+
+def test_autocorrelation_window_below_half_an_ulp():
+    # at 2**40 ps a time's ulp is 2**-12 ps; a 1e-5 ps window is below half
+    # of it, so t + edge == t there and the self pairs do not count
+    t = np.concatenate([[0.0, 5e-6, 1e-5],
+                        2.0**40 + np.array([0.0, 0.0, 2.0**-12])])
+    edge = 1.5e-5
+    assert (t + edge == t).any() and (t[:3] + edge > t[:3]).all()
+    got = kernels.pair_histogram(t, t, 1e-5, 1e-5, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, 1e-5, 1e-5))
+
+
+def test_dense_autocorrelation_matches_contract():
+    # hundreds of partners per time, repeated 10-ps grid times among them
+    rng = np.random.default_rng(20)
+    t = np.sort(np.concatenate([rng.uniform(0.0, 2e4, 800),
+                                rng.integers(0, 2000, 200) * 10.0]))
+    lo, hi, _ = partner_ranges(t, 5000.0, 10.0)
+    assert np.median(hi - lo) > 300
+    got = kernels.pair_histogram(t, t, 5000.0, 10.0, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, 5000.0, 10.0))
+
+
 def test_exclude_self_removes_exactly_n_zero_delay_pairs():
     t = np.array([0.0, 100.0, 250.0])
     with_self = kernels.pair_histogram(t, t, 500.0, 50.0, exclude_self=False)
