@@ -49,6 +49,10 @@ MAX_SWEEP_TEMPS = 100_000
 #: the most delay bins one correlation histogram holds; the paper's
 #: analysis (WINDOW_PS at BIN_WIDTH_PS) has 1,301
 MAX_HIST_BINS = 1_000_000
+#: the least nonzero fit noise fraction: a sigma below the float64
+#: resolution of the intensity it weights means nothing, and far below it
+#: the weights 1 / (fraction * intensity) overflow the squared residuals
+MIN_NOISE_FRACTION = sys.float_info.epsilon
 
 
 def _load_config(args) -> dict:
@@ -227,6 +231,10 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if 0 < args.noise_fraction < MIN_NOISE_FRACTION:
+        raise ConfigError(f"--noise-fraction {args.noise_fraction!r} is below "
+                          f"{MIN_NOISE_FRACTION:.3g}, the float64 resolution "
+                          f"of an intensity; 0 fits unweighted")
     pairs = [(clickio.read_spectrum(f), f) for f in args.files]
     tagged = all(s.temperature is not None for s, _ in pairs)
     if tagged:

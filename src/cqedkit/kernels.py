@@ -22,6 +22,15 @@ way only, as a delay that rounds onto the window edge can; a second,
 short walk bins their -d.  Self pairs are never visited, so there is
 nothing to subtract, and the walk takes about half the steps.
 
+The first steps of that walk need no gather.  Its ranges start at
+lo[i] = i + 1, so step s pairs i with i + 1 + s.  hi is nondecreasing,
+so the sources whose range ends before the last time (hi[i] < n) are a
+prefix, and every other source's range runs to the end.  While s is
+below the shortest range of that prefix (or always, when it is empty),
+the sources still in range are exactly i < n - 1 - s, and the step's
+delays are the lag slice t[s + 1:] - t[:n - 1 - s]: the same pairs and
+the same d = fl(t[j] - t[i]) as the gather, so the same bins.
+
 For one source the bin is monotone in its partner's position: the delay,
 the division and the truncation all are.  So the bins of the sources'
 first and last partners bound every bin of a walk.  They are checked
@@ -37,9 +46,10 @@ def pair_histogram(a, b, window, bin_width, exclude_self=False):
 
     Inputs must be finite and sorted ascending.  Bins are centered on
     multiples of bin_width: n_half = round(window / bin_width) bins each
-    side plus the zero bin.  With exclude_self, the len(a) self pairs are
-    removed from the zero bin (use for autocorrelation, where a and b are
-    one array).
+    side plus the zero bin.  With exclude_self, the self pairs that count
+    are removed from the zero bin: those with a + edge > a, every one
+    unless the window is below half an ulp of a time (use for
+    autocorrelation, where a and b are one array).
     """
     if bin_width <= 0 or window <= 0:
         raise ValueError("window and bin_width must be positive")
@@ -63,7 +73,11 @@ def pair_histogram(a, b, window, bin_width, exclude_self=False):
         # t[j] < fl(t[i] + edge) gives t[j] - edge <= t[i] exactly, hi <= J
         J = np.cumsum(np.bincount(lo, minlength=len(a)))
         start = np.arange(1, len(a) + 1)
-        _walk(counts, a, a, start, hi - start, (1, -1), edge, bin_width)
+        span = hi - start
+        # below the shortest range that ends before the last time, every
+        # step is a lag slice; those ranges are a prefix, as hi is sorted
+        lags = span[:np.searchsorted(hi, len(a))].min(initial=len(a))
+        _walk(counts, a, a, start, span, (1, -1), edge, bin_width, lags)
         # a pair (j, i) with hi[i] <= j < J[i] counts one way only: its
         # delay rounds onto the window edge
         one_way = np.flatnonzero(J > hi)
@@ -80,15 +94,18 @@ def pair_histogram(a, b, window, bin_width, exclude_self=False):
     else:
         _walk(counts, a, b, lo, hi - lo, (1,), edge, bin_width)
     if exclude_self:
-        # self pairs land exactly in the zero-delay bin
-        counts[n_half] -= len(a)
+        # self pairs land exactly in the zero-delay bin; below half an ulp
+        # t + edge == t, and the self pair does not count
+        counts[n_half] -= np.count_nonzero(a + edge > a)
     return counts
 
 
-def _walk(counts, t, oth, lo, span, signs, edge, bin_width):
+def _walk(counts, t, oth, lo, span, signs, edge, bin_width, lags=0):
     """Add to counts the bin of each sign times d = fl(oth[j] - t[i]),
     for lo[i] <= j < lo[i] + span[i]; the bin of -d is that of the delay
-    fl(t[i] - oth[j]).  Reorders lo and span."""
+    fl(t[i] - oth[j]).  Steps s < lags take the lag slice of oth against
+    itself: the caller guarantees that t is oth, lo[i] = i + 1 and span
+    > s exactly for i < len(oth) - 1 - s.  Reorders lo and span."""
     n_bins = len(counts)
 
     def bins(d, sign):
@@ -113,8 +130,11 @@ def _walk(counts, t, oth, lo, span, signs, edge, bin_width):
                 for sign in signs]
         clip = min(ends) < 0 or max(ends) >= n_bins
     for s in range(span.max(initial=0)):
-        i = np.searchsorted(span, s, side="right")
-        d = oth[s:][lo[i:]] - t[i:]
+        if s < lags:
+            d = oth[s + 1:] - oth[:len(oth) - 1 - s]
+        else:
+            i = np.searchsorted(span, s, side="right")
+            d = oth[s:][lo[i:]] - t[i:]
         for sign in signs:
             k = bins(d, sign)
             if clip:

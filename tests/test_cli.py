@@ -398,6 +398,62 @@ def test_bad_flag_exits_2_naming_it(tmp_path, capsys, case):
     assert not out_dir.exists()
 
 
+#: each numeric flag of each subcommand, with the subcommand line it is
+#: added to; {clicks} and {spec} are small input files
+NUMERIC_FLAGS = {
+    "seed": ("--seed", "eigen"),
+    "t_min": ("--t-min", "sweep"),
+    "t_max": ("--t-max", "sweep"),
+    "t_step": ("--t-step", "sweep"),
+    "resonance_temp": ("--resonance-temp", "sweep"),
+    "duration": ("--duration", "simulate"),
+    "simulate_pulses": ("--pulses", "simulate"),
+    "bin": ("--bin", "correlate {clicks}"),
+    "window": ("--window", "correlate {clicks}"),
+    "rep_period": ("--rep-period", "correlate {clicks}"),
+    "n_side": ("--n-side", "correlate {clicks}"),
+    "noise_fraction": ("--noise-fraction", "fit {spec}"),
+    "demo_pulses": ("--pulses", "demo-paper"),
+}
+HOSTILE_VALUES = ["0", "-1", "nan", "inf", "1e-300", "1e300", str(2**63),
+                  str(10**400), "", "x"]
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("inputs")
+    assert cli.main(["--out-dir", str(directory), "simulate",
+                     "--pulses", "1000"]) == 0
+    spec, = write_series(directory, [10.0], noise=0.05)
+    return {"clicks": directory / "clicks.csv", "spec": spec}
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES,
+                         ids=["0", "-1", "nan", "inf", "1e-300", "1e300",
+                              "2**63", "10**400", "empty", "x"])
+@pytest.mark.parametrize("flag", NUMERIC_FLAGS)
+def test_hostile_numeric_flag_exits_with_a_documented_code(
+        tmp_path, capsys, small_inputs, flag, value):
+    name, command = NUMERIC_FLAGS[flag]
+    head, *rest = (a.format(**small_inputs) for a in command.split())
+    if name == "--seed":  # a global flag, before the subcommand
+        argv = [f"{name}={value}", head, *rest]
+    else:
+        argv = [head, *rest, f"{name}={value}"]
+    try:
+        code = cli.main(["--out-dir", str(tmp_path), *argv])
+    except SystemExit as exc:  # argparse rejected the value
+        code = exc.code
+    err = capsys.readouterr().err
+    # 1 is demo-paper's FAIL row, which no hostile value may reach
+    assert code in (0, cli.EXIT_CONFIG, cli.EXIT_CONVERGENCE,
+                    cli.EXIT_STATISTICS), err
+    assert "Traceback" not in err
+    if code:
+        assert len([line for line in err.splitlines()
+                    if "error: " in line]) == 1, err
+
+
 @pytest.mark.parametrize("pulses", ["1", "5"])
 def test_demo_paper_too_few_pulses_is_statistics_error(capsys, pulses):
     # the detuned Fig. 4 run of so few pulses has no X click

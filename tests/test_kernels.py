@@ -101,9 +101,12 @@ def test_delay_rounding_onto_the_window_edge_is_clipped(extra):
 
 
 def auto_contract(t, window, bin_width):
-    """contract() of a stream with itself, less its len(t) self pairs."""
+    """contract() of a stream with itself, less the self pairs it counts:
+    those with t < fl(t + edge), every one unless the window is below half
+    an ulp of a time."""
+    edge = (int(round(window / bin_width)) + 0.5) * bin_width
     want = contract(t, t, window, bin_width)
-    want[len(want) // 2] -= len(t)
+    want[len(want) // 2] -= np.count_nonzero(t + edge > t)
     return want
 
 
@@ -137,6 +140,11 @@ def test_autocorrelation_window_below_half_an_ulp():
     assert (t + edge == t).any() and (t[:3] + edge > t[:3]).all()
     got = kernels.pair_histogram(t, t, 1e-5, 1e-5, exclude_self=True)
     assert np.array_equal(got, auto_contract(t, 1e-5, 1e-5))
+    assert (got >= 0).all()
+    # no pair counts at all, so nothing is left to subtract
+    t = 2.0**40 + np.array([0.0, 0.0, 2.0**-12])
+    got = kernels.pair_histogram(t, t, 1e-5, 1e-5, exclude_self=True)
+    assert np.array_equal(got, [0, 0, 0])
 
 
 def test_dense_autocorrelation_matches_contract():
@@ -148,6 +156,44 @@ def test_dense_autocorrelation_matches_contract():
     assert np.median(hi - lo) > 300
     got = kernels.pair_histogram(t, t, 5000.0, 10.0, exclude_self=True)
     assert np.array_equal(got, auto_contract(t, 5000.0, 10.0))
+
+
+def lag_regime(t, window, bin_width):
+    """How many steps of the autocorrelation walk are lag slices: "every",
+    "some" or "none".  The walk pairs i with i + 1 + s at step s, and the
+    lag slices run up to the shortest range that ends before the last
+    time."""
+    _, hi, _ = partner_ranges(t, window, bin_width)
+    span = hi - np.arange(1, len(t) + 1)
+    lags = span[hi < len(t)].min(initial=len(t))
+    if lags >= span.max(initial=0):
+        return "every"
+    return "some" if lags else "none"
+
+
+def tagged_poisson(n, isolated=False):
+    """Poisson arrivals at a 20 ps mean spacing on a 2.5 ps tagger grid,
+    with one click 0.1 us after the rest if isolated."""
+    rng = np.random.default_rng(21)
+    t = np.round(np.cumsum(rng.exponential(20.0, n)) / 2.5) * 2.5
+    return np.append(t, t[-1] + 1e5) if isolated else t
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.0**40])
+@pytest.mark.parametrize("times, regime", [
+    (np.arange(200) * 2.5, "every"),
+    (tagged_poisson(400), "some"),
+    (tagged_poisson(400, isolated=True), "none"),
+], ids=["even_grid", "poisson", "isolated_click"])
+def test_autocorrelation_lag_slices_match_contract(offset, times, regime):
+    # a 300 ps window in 10 ps bins puts the edge, 305 ps, on the 2.5 ps
+    # grid: delays equal to it count one way only
+    t = offset + times
+    assert lag_regime(t, 300.0, 10.0) == regime
+    _, hi, J = partner_ranges(t, 300.0, 10.0)
+    assert (hi != J).any()
+    got = kernels.pair_histogram(t, t, 300.0, 10.0, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, 300.0, 10.0))
 
 
 def test_exclude_self_removes_exactly_n_zero_delay_pairs():
