@@ -49,10 +49,6 @@ MAX_SWEEP_TEMPS = 100_000
 #: the most delay bins one correlation histogram holds; the paper's
 #: analysis (WINDOW_PS at BIN_WIDTH_PS) has 1,301
 MAX_HIST_BINS = 1_000_000
-#: the least nonzero fit noise fraction: a sigma below the float64
-#: resolution of the intensity it weights means nothing, and far below it
-#: the weights 1 / (fraction * intensity) overflow the squared residuals
-MIN_NOISE_FRACTION = sys.float_info.epsilon
 
 
 def _load_config(args) -> dict:
@@ -231,10 +227,6 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if 0 < args.noise_fraction < MIN_NOISE_FRACTION:
-        raise ConfigError(f"--noise-fraction {args.noise_fraction!r} is below "
-                          f"{MIN_NOISE_FRACTION:.3g}, the float64 resolution "
-                          f"of an intensity; 0 fits unweighted")
     pairs = [(clickio.read_spectrum(f), f) for f in args.files]
     tagged = all(s.temperature is not None for s, _ in pairs)
     if tagged:
@@ -243,12 +235,17 @@ def cmd_fit(args) -> int:
             if s1.temperature == s2.temperature:
                 raise ConfigError(f"{f1} and {f2} are both tagged "
                                   f"{s1.temperature} K")
-        series = specfit.fit_series([s for s, _ in pairs],
-                                    noise_fraction=args.noise_fraction)
-    else:
-        series = [(float(i), specfit.fit_double_lorentzian(
-                      s, sigma=specfit.noise_sigma(s, args.noise_fraction)))
-                  for i, (s, _) in enumerate(pairs)]
+    try:
+        if tagged:
+            series = specfit.fit_series([s for s, _ in pairs],
+                                        noise_fraction=args.noise_fraction)
+        else:
+            series = [(float(i), specfit.fit_double_lorentzian(
+                          s, sigma=specfit.noise_sigma(s, args.noise_fraction)))
+                      for i, (s, _) in enumerate(pairs)]
+    except ConfigError as exc:  # a fit's only config is the noise fraction
+        raise ConfigError(f"--noise-fraction {args.noise_fraction!r}: "
+                          f"{exc}") from None
     ext = None
     if tagged and len(series) >= 5:  # before any output: an error writes none
         ext = specfit.extract_coupling(specfit.assemble_anticrossing(series))

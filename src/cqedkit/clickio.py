@@ -132,6 +132,9 @@ def _click_header(path, header: str, columns: str):
         raise MalformedFileError(f"{path}: header lacks {exc}") from None
     except ValueError as exc:
         raise _line_error(path, 1, f"bad header field ({exc})") from None
+    if not 0.0 < duration < math.inf:  # rates divide by it
+        raise _line_error(path, 1, f"duration_ps {meta['duration_ps']!r} "
+                          f"must be finite and > 0")
     if columns.strip() != CLICK_COLUMNS:
         raise _line_error(path, 2, f"expected {CLICK_COLUMNS!r}")
     return duration, seed, config_hash
@@ -162,17 +165,20 @@ def _parse_clicks(data: bytes):
     `ch,<1-15 digits>.<digit>`, each ending in a newline, which the scan
     reads to equal arrays.
     """
-    head, _, rest = data.partition(b"\n")
-    columns, _, body = rest.partition(b"\n")
-    if not ((head + columns).isascii() and b"\r" not in head + columns
-            and (body.endswith(b"\n") or not body)):
+    head_end = data.find(b"\n")
+    columns_end = data.find(b"\n", head_end + 1)  # -1 if head_end is
+    if columns_end < 0 or not data.endswith(b"\n"):
+        return None
+    header = data[:columns_end]
+    if not header.isascii() or b"\r" in header:
         return None
     try:
-        duration, seed, config_hash = _click_header(None, head.decode(),
-                                                    columns.decode())
+        duration, seed, config_hash = _click_header(
+            None, data[:head_end].decode(), header[head_end + 1:].decode())
     except MalformedFileError:  # the scan names the file, and reports a
         return None             # byte that is not UTF-8 first
-    u = np.frombuffer(body, dtype=np.uint8)
+    # the rows, a view of the file's bytes
+    u = np.frombuffer(data, dtype=np.uint8, offset=columns_end + 1)
     ends = np.flatnonzero(u == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
     heads = u[starts]

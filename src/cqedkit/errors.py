@@ -14,7 +14,8 @@ class PeakWindowError(ConfigError, ValueError):
 
 
 class DurationError(ConfigError, ValueError):
-    """Run duration holding more pulses or excitations than a run samples."""
+    """Run duration shorter than one pulse period, or holding more pulses
+    or excitations than a run samples."""
 
 
 class MalformedFileError(ConfigError, ValueError):

@@ -16,16 +16,21 @@ the exciton and cavity lines with temperature by the fixed calibration
 below, crossing at a resonance temperature given per call.
 """
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coupled
-from .errors import (AnticrossingError, InsufficientStatisticsError,
-                     NoSignalError)
+from .errors import (AnticrossingError, ConfigError,
+                     InsufficientStatisticsError, NoSignalError)
 from .units import HC_UEV_NM, local_energy_per_nm, wavelength_to_energy
 
 MAX_ITERATIONS = 200
+#: the least nonzero noise fraction: a sigma below the float64 resolution
+#: of the intensity it weights means nothing, and far below it the
+#: weights 1 / (fraction * intensity) overflow the squared residuals
+MIN_NOISE_FRACTION = sys.float_info.epsilon
 
 # Temperature tuning: the exciton red-shifts quadratically in T, the
 # cavity linearly; their relative shift spans RELATIVE_SPAN_NM over the
@@ -476,8 +481,15 @@ def _params_of(fit: FitResult) -> np.ndarray:
 
 def noise_sigma(s: Spectrum, noise_fraction: float):
     """Per-point sigma of multiplicative noise, fraction * intensity; None
-    (unweighted) at a fraction of 0."""
-    return noise_fraction * s.intensity if noise_fraction > 0 else None
+    (unweighted) at a fraction of 0.  Any other fraction that is not a
+    finite number >= MIN_NOISE_FRACTION raises ConfigError."""
+    if noise_fraction == 0:
+        return None
+    if not MIN_NOISE_FRACTION <= noise_fraction < math.inf:
+        raise ConfigError(f"noise fraction {noise_fraction!r} is not 0 or a "
+                          f"finite number >= {MIN_NOISE_FRACTION:.3g}, the "
+                          f"float64 resolution of an intensity")
+    return noise_fraction * s.intensity
 
 
 def fit_series(spectra: list[Spectrum], noise_fraction: float = 0.0
@@ -487,7 +499,7 @@ def fit_series(spectra: list[Spectrum], noise_fraction: float = 0.0
     Each spectrum is fit both from a fresh initial guess and from the
     previous temperature's solution; the lower-cost result wins.  This
     suppresses spurious local optima near the anticrossing where the two
-    lines merge.  noise_fraction > 0 enables multiplicative-noise
+    lines merge.  A nonzero noise_fraction enables multiplicative-noise
     weighting (`noise_sigma`).
     """
     out = []

@@ -11,9 +11,10 @@ wave-function method of Dalibard, Castin & Molmer, PRL 68, 580 (1992)),
 numerically as in Devroye, Non-Uniform Random Variate Generation (1986),
 ch. 2.  Each propagator tabulates log S once, on 16,385 uniform points
 over [0, t_max].  A draw u starts from linear interpolation in log S
-across its table cell, then takes two Newton steps on log S(t) - log u,
-each clipped to that cell; the draws go in blocks of 8,192, which keeps
-the temporaries small.  Everything is vectorized over pulses.
+across its table cell, then takes a Newton step on log S(t) - log u,
+clipped to that cell, and a second one only if the first moved it by more
+than 1e-3 ps; the draws go in blocks of 8,192, which keeps the
+temporaries small.  Everything is vectorized over pulses.
 
 Background emitters are a statistical Poisson feed into channel C, not
 Hilbert-space objects.  Detector effects (thinning, jitter, dead time,
@@ -38,6 +39,9 @@ _MIN_U = 1e-12
 # puts Newton in its basin even on the Rabi plateaus of S
 _TABLE_POINTS = 16385
 _NEWTON_STEPS = 2
+# a Newton step below this (ps) leaves an error of order K * tol**2, far
+# below the 0.1 ps of a click file: the draw takes no further step
+_NEWTON_TOL = 1e-3
 # draws per block in jump_times: bounds the temporaries
 _BLOCK = 8192
 
@@ -159,10 +163,12 @@ class SingleExcitationPropagator:
         The draws go in blocks of _BLOCK.  searchsorted finds each
         draw's cell [t_k, t_k+1] in the log S table, and linear
         interpolation in log S across the cell gives the start.  Then
-        come _NEWTON_STEPS Newton steps on log S(t) - log u, whose slope
-        -(total jump rate) / S takes one `amplitudes` call; each step is
-        clipped to the cell, which holds the root.  Against an 80-step
-        bisection the times agree to 1e-4 ps (tests/test_trajectory.py).
+        come up to _NEWTON_STEPS Newton steps on log S(t) - log u, whose
+        slope -(total jump rate) / S takes one `amplitudes` call; each
+        step is clipped to the cell, which holds the root, and a draw
+        whose step moved it by at most _NEWTON_TOL takes no further one.
+        Against an 80-step bisection the times agree to 1e-4 ps
+        (tests/test_trajectory.py).
         """
         out = np.empty(len(u))
         table = self._neg_log_s
@@ -176,15 +182,23 @@ class SingleExcitationPropagator:
             frac = (target - left) / (table[k + 1] - left)
             cell = k * h
             t = cell + h * np.clip(frac, 0.0, 1.0)
+            # the block's draws that are still unsettled, and their t
+            rows = np.arange(start, start + len(t))
             for _ in range(_NEWTON_STEPS):
+                if not len(rows):
+                    break
                 alpha, beta = self.amplitudes(t)
                 pop_a = alpha.real ** 2 + alpha.imag ** 2
                 pop_b = beta.real ** 2 + beta.imag ** 2
                 surv = pop_a + pop_b
                 rate = rate_a * pop_a + self.rate_c * pop_b
-                t += (np.log(surv) + target) * surv / rate
-                np.clip(t, cell, cell + h, out=t)
-            out[start:start + _BLOCK] = t
+                new = t + (np.log(surv) + target) * surv / rate
+                np.clip(new, cell, cell + h, out=new)
+                out[rows] = new
+                # a draw whose step moved it by at most _NEWTON_TOL is done
+                more = np.abs(new - t) > _NEWTON_TOL
+                rows, t = rows[more], new[more]
+                target, cell = target[more], cell[more]
         return out
 
     def sample_emissions(self, rng: np.random.Generator, n: int
@@ -235,7 +249,8 @@ def _pulsed_emissions(model, pump, duration, rng):
             f"lifetime ({lifetime_scale:.1f} ps) for well-separated pulses")
     n_pulses = int(duration // pump.rep_period)
     if n_pulses < 1:
-        raise ConfigError("duration shorter than one pulse period")
+        raise DurationError(f"duration shorter than one pulse period "
+                            f"({pump.rep_period} ps)")
     _check_events(n_pulses, "pulses", duration)
     prop = SingleExcitationPropagator(model)
     pulse_t = np.arange(n_pulses) * pump.rep_period

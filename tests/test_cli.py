@@ -219,6 +219,63 @@ def test_correlate_bad_click_file_is_config_error(tmp_path, capsys, corrupt):
     assert not (tmp_path / "histogram.csv").exists()
 
 
+CLICK_HEADER = (b"#cqed-click-v1 seed=7 duration_ps=26000.0 confighash=abcd\n"
+                b"channel,time_ps\n")
+CLICK_ROWS = b"C,100.0\nX,250.5\nD,250.5\nC,300.0\nX,13100.2\nC,13200.0\n"
+#: id: (file bytes, exit code, text on stderr) of a click file that
+#: `correlate` refuses, with or without --dark-subtract
+MALFORMED_CLICK_FILES = {
+    "empty": (b"", cli.EXIT_CONFIG, "bad.csv: not a #cqed-click-v1 file"),
+    "magic_only": (b"#cqed-click-v1\n", cli.EXIT_CONFIG,
+                   "bad.csv: header lacks 'duration_ps'"),
+    "first_line_only": (CLICK_HEADER.partition(b"\n")[0] + b"\n",
+                        cli.EXIT_CONFIG, "bad.csv: line 2: expected"),
+    # a well-formed file of no clicks
+    "no_rows": (CLICK_HEADER, cli.EXIT_STATISTICS, "empty click stream"),
+    # the scan reads these two forms; each has a row that runs back
+    "last_row_without_newline": (CLICK_HEADER + CLICK_ROWS + b"C,50.0",
+                                 cli.EXIT_CONFIG,
+                                 "bad.csv: line 9: time 50.0 ps before"),
+    "crlf": ((CLICK_HEADER + CLICK_ROWS + b"C,oops\n").replace(b"\n", b"\r\n"),
+             cli.EXIT_CONFIG, "bad.csv: line 9: bad time 'oops'"),
+    **{f"duration_{d}": (
+        CLICK_HEADER.replace(b"26000.0", d.encode()) + CLICK_ROWS,
+        cli.EXIT_CONFIG, f"bad.csv: line 1: duration_ps '{d}' must be finite")
+       for d in ("0", "-5", "nan", "inf")},
+}
+
+
+@pytest.mark.parametrize("dark_subtract", [False, True],
+                         ids=["plain", "dark_subtract"])
+@pytest.mark.parametrize("case", MALFORMED_CLICK_FILES)
+def test_correlate_malformed_click_file_exits_with_one_error(
+        tmp_path, capsys, case, dark_subtract):
+    data, exit_code, message = MALFORMED_CLICK_FILES[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "--out-dir", str(out_dir), "correlate",
+                         str(bad), *["--dark-subtract"] * dark_subtract)
+    assert code == exit_code
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out_dir.exists()
+
+
+def test_simulated_click_file_reads_fast_to_the_scan_arrays(tmp_path,
+                                                           capsys):
+    run(capsys, "--out-dir", str(tmp_path), "simulate", "--pulses", "2000")
+    path = tmp_path / "clicks.csv"
+    data = path.read_bytes()
+    fast, want = clickio._parse_clicks(data), clickio._scan_clicks(path, data)
+    assert fast is not None and len(fast) > 0
+    assert np.array_equal(fast.times, want.times)
+    assert np.array_equal(fast.channels, want.channels)
+    assert ((fast.duration, fast.seed, fast.config_hash)
+            == (want.duration, want.seed, want.config_hash))
+
+
 @pytest.mark.parametrize("rows, message", [
     pytest.param("936.0,1.0\n936.1,x\n",
                  "line 4: expected wavelength_nm,intensity, got '936.1,x'",
@@ -346,6 +403,9 @@ BAD_FLAGS = {
                                "--pulses 100000000000000000000: duration"),
     "duration_beyond_an_array": ("simulate --duration=1e300",
                                  "--duration 1e+300: duration"),
+    "duration_below_one_period": ("simulate --duration=1e-300",
+                                  "--duration 1e-300: duration shorter "
+                                  "than one pulse period"),
     "pulses_1e17": ("simulate --pulses=100000000000000000",
                     "--pulses 100000000000000000: duration"),
     "pulses_one_above_the_bound": ("simulate --pulses=100000001",
@@ -372,6 +432,9 @@ BAD_FLAGS = {
                                 "argument --noise-fraction"),
     "noise_fraction_nan": ("fit {spec} --noise-fraction=nan",
                            "argument --noise-fraction"),
+    # weights 1 / (fraction * intensity) that overflow the residuals
+    "noise_fraction_1e-300": ("fit {spec} --noise-fraction=1e-300",
+                              "--noise-fraction 1e-300: noise fraction"),
     "demo_pulses_0": ("demo-paper --pulses=0", "argument --pulses"),
     "demo_pulses_one_above_the_bound": ("demo-paper --pulses=100000001",
                                         "--pulses 100000001: duration"),

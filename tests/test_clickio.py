@@ -140,6 +140,11 @@ CLICK_FILES = {
     "plain": PLAIN,
     "zero_rows": HEADER,
     "header_only": HEADER.partition(b"\n")[0] + b"\n",
+    "empty": b"",
+    "magic_only": b"#cqed-click-v1\n",
+    # a header duration that no rate may divide by
+    **{f"duration_{d}": PLAIN.replace(b"26000.0", d.encode())
+       for d in ("0", "-5", "nan", "inf", "-inf")},
     "negative_zero": edit_row(3, b"C,-0.0\n"),
     "signed_exponent": edit_row(3, b"C,+1e1\n"),
     # the corruptions of the CLI's bad-click-file test

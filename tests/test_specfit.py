@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cqedkit import coupled, specfit
-from cqedkit.errors import NoSignalError
+from cqedkit.errors import ConfigError, NoSignalError
 from cqedkit.specfit import (LorentzianParams, MeasuredAnticrossing, Spectrum,
                              double_lorentzian, double_lorentzian_jacobian,
                              fit_double_lorentzian, fit_series, initial_guess,
@@ -591,6 +591,18 @@ def test_fit_series_requires_temperature_tags():
     s = Spectrum(lam, double_lorentzian(lam, TRUE))
     with pytest.raises(ValueError):
         fit_series([s])
+
+
+@pytest.mark.parametrize("fraction", [1e-300, 1e-200, -0.05, np.nan, np.inf])
+def test_fit_series_refuses_a_noise_fraction_without_weights(fraction):
+    # below float64 epsilon the weights 1 / (fraction * intensity)
+    # overflow the squared residuals
+    lam = grid()
+    s = Spectrum(lam, double_lorentzian(lam, TRUE), temperature=10.0)
+    with pytest.raises(ConfigError, match="noise fraction"):
+        fit_series([s], noise_fraction=fraction)
+    assert specfit.noise_sigma(s, 0.0) is None
+    assert specfit.noise_sigma(s, specfit.MIN_NOISE_FRACTION) is not None
 
 
 def test_temperature_tuning_calibration():
