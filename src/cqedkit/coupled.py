@@ -104,11 +104,11 @@ def vacuum_rabi_splitting(p: SystemParams) -> float:
     return 2.0 * np.sqrt(rad)
 
 
-def extract_coupling_strength(splitting: float, gamma_c: float, gamma_x: float) -> float:
-    """Invert the resonance splitting for g: sqrt((S/2)^2 + (gc-gx)^2/16)."""
-    if splitting <= 0:
-        raise ValueError("splitting must be positive")
-    return float(np.sqrt((splitting / 2.0) ** 2 + (gamma_c - gamma_x) ** 2 / 16.0))
+def extract_coupling_strength(splitting: float, loss_difference: float) -> float:
+    """Invert the resonance splitting S for g, given the loss difference
+    d = gamma_c - gamma_x: sqrt((S/2)^2 + d^2/16).  A zero splitting gives
+    the strong-coupling threshold |d|/4."""
+    return float(np.sqrt((splitting / 2.0) ** 2 + loss_difference**2 / 16.0))
 
 
 def _exciton_branch(p: SystemParams) -> complex:

@@ -137,41 +137,3 @@ def subtract_dark_counts(h: CorrelationHistogram,
     cleaned = np.maximum(h.counts - expected, 0.0)
     return replace(h, counts=cleaned)
 
-
-def per_pulse_counts(times, rep_period: float, duration: float) -> np.ndarray:
-    """Photon counts per pulse window; the brute-force g2 oracle input."""
-    n_pulses = int(duration // rep_period)
-    idx = (np.asarray(times) // rep_period).astype(np.int64)
-    idx = idx[idx < n_pulses]
-    return np.bincount(idx, minlength=n_pulses)
-
-
-def per_pulse_g2(counts_a, counts_b=None) -> G2Estimate:
-    """Exact per-pulse photon-number statistic <n_a n_b'>/(<n_a><n_b>).
-
-    For autocorrelation (counts_b None) this is <n(n-1)>/<n>^2, the
-    quantity the pulsed peak-area estimator converges to.  Standard error
-    by the delta method on sample moments.
-    """
-    n_a = np.asarray(counts_a, dtype=float)
-    auto = counts_b is None
-    n_b = n_a if auto else np.asarray(counts_b, dtype=float)
-    x = n_a * (n_a - 1.0) if auto else n_a * n_b
-    ma, mb, mx = n_a.mean(), n_b.mean(), x.mean()
-    if ma == 0 or mb == 0:
-        raise InsufficientStatisticsError("no counts")
-    value = mx / (ma * mb)
-    n = len(n_a)
-    grad_x = 1.0 / (ma * mb)
-    grad_a = -mx / (ma**2 * mb)
-    grad_b = -mx / (ma * mb**2)
-    if auto:
-        cov = np.cov(np.vstack([x, n_a]))
-        var = (grad_x**2 * cov[0, 0]
-               + (grad_a + grad_b) ** 2 * cov[1, 1]
-               + 2 * grad_x * (grad_a + grad_b) * cov[0, 1]) / n
-    else:
-        cov = np.cov(np.vstack([x, n_a, n_b]))
-        grads = np.array([grad_x, grad_a, grad_b])
-        var = grads @ cov @ grads / n
-    return G2Estimate(value, float(np.sqrt(max(var, 0.0))), "per_pulse_oracle")

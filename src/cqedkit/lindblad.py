@@ -2,8 +2,8 @@
 
 Hilbert space: two-level exciton (g, e) tensor truncated Fock space of the
 cavity mode.  Energies in ueV, times in ps, rates in 1/ps.  The Liouvillian
-is diagonalized once per model; propagation, steady states and two-time
-correlations (quantum regression) all reuse the same eigendecomposition.
+is diagonalized once per `cw_g2` call; the steady state and the two-time
+correlation (quantum regression) reuse the same eigendecomposition.
 Dimensions are tiny (a handful of excitations), so dense linear algebra
 is the accuracy-first choice.
 """
@@ -46,10 +46,6 @@ class LindbladModel:
         if self.g < 0:
             raise ValueError("g must be >= 0")
 
-    @classmethod
-    def from_system(cls, p: SystemParams, **rates) -> "LindbladModel":
-        return cls(p.e_x, p.e_c, p.g, p.gamma_x, p.gamma_c, **rates)
-
     def with_rates(self, **rates) -> "LindbladModel":
         return replace(self, **rates)
 
@@ -75,13 +71,6 @@ class Operators:
         self.sp = self.sm.conj().T
         self.num_c = self.ad @ self.a
         self.num_x = self.sp @ self.sm
-
-    def exciton_excited(self) -> np.ndarray:
-        """Density matrix |e,0><e,0|."""
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        idx = self.n_max + 1  # |e> block starts after the |g> Fock block
-        rho[idx, idx] = 1.0
-        return rho
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:
@@ -126,86 +115,6 @@ def liouvillian(model: LindbladModel, ops: Operators) -> np.ndarray:
     return lv
 
 
-class _Propagator:
-    """Eigendecomposition of one (model, cutoff) Liouvillian.
-
-    Not cached: each public function builds its own and passes it to the
-    helpers it calls.
-    """
-
-    def __init__(self, model: LindbladModel, n_max: int):
-        self.ops = Operators(n_max)
-        self.lv = liouvillian(model, self.ops)
-        self.evals, self.evecs = np.linalg.eig(self.lv)
-
-    def coeffs(self, vec: np.ndarray) -> np.ndarray:
-        # Liouvillian of a small system: eigenvectors are well conditioned,
-        # but solve rather than invert for the coefficients.
-        return np.linalg.solve(self.evecs, vec)
-
-
-def _check_cutoff(rho: np.ndarray, ops: Operators):
-    """Error out if the top Fock level carries non-negligible weight."""
-    nc = ops.n_max + 1
-    top = rho[nc - 1, nc - 1].real + rho[2 * nc - 1, 2 * nc - 1].real
-    if top > _CUTOFF_TOL:
-        raise CutoffError(
-            f"population {top:.2e} at Fock cutoff n_max={ops.n_max}; increase n_max")
-
-
-def evolve(model: LindbladModel, rho0: np.ndarray, t_grid,
-           n_max: int = 2) -> np.ndarray:
-    """Propagate rho0 over t_grid; returns an array of density matrices.
-
-    Trace is preserved to 1e-8 by construction (checked), and the top
-    Fock level is monitored against cutoff overflow.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    prop = _Propagator(model, n_max)
-    dim = prop.ops.dim
-    coef = prop.coeffs(_vec(np.asarray(rho0, dtype=complex)))
-    out = np.empty((len(t_grid), dim, dim), dtype=complex)
-    for i, t in enumerate(t_grid):
-        rho = _unvec(prop.evecs @ (coef * np.exp(prop.evals * t)), dim)
-        rho = 0.5 * (rho + rho.conj().T)
-        drift = abs(np.trace(rho).real - 1.0)
-        if drift > 1e-8:
-            raise ConvergenceError(f"trace drift {drift:.2e} exceeds 1e-8")
-        _check_cutoff(rho, prop.ops)
-        out[i] = rho
-    return out
-
-
-def steady_state(model: LindbladModel, n_max: int = 2) -> np.ndarray:
-    """Steady density matrix (needs a pump so the state is not trivial)."""
-    return _steady_state(_Propagator(model, n_max))
-
-
-def _steady_state(prop: _Propagator) -> np.ndarray:
-    idx = np.argmin(np.abs(prop.evals))
-    if abs(prop.evals[idx]) > 1e-8:
-        raise ConvergenceError("no stationary Liouvillian mode found")
-    rho = _unvec(prop.evecs[:, idx], prop.ops.dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    _check_cutoff(rho, prop.ops)
-    return rho
-
-
-def excited_population(rhos: np.ndarray, n_max: int) -> np.ndarray:
-    """Exciton occupation for each density matrix in a trajectory."""
-    ops = Operators(n_max)
-    return np.einsum("tij,ji->t", rhos, ops.num_x).real
-
-
-def liouvillian_decay_rates(model: LindbladModel, n_max: int = 1) -> np.ndarray:
-    """Sorted decay rates (-Re eigenvalues) of the Liouvillian, 1/ps."""
-    prop = _Propagator(model, n_max)
-    return np.sort(-prop.evals.real)
-
-
 def _channel_operator(ops: Operators, channel: str) -> np.ndarray:
     if channel == "C":
         return ops.a
@@ -225,18 +134,31 @@ def cw_g2(model: LindbladModel, tau_grid, channel: str = "C",
     if model.pump_x <= 0:
         raise ValueError("cw_g2 needs pump_x > 0 for a nontrivial steady state")
     tau_grid = np.asarray(tau_grid, dtype=float)
-    prop = _Propagator(model, n_max)
-    ops = prop.ops
+    ops = Operators(n_max)
     c = _channel_operator(ops, channel)
-    rho_ss = _steady_state(prop)
+    evals, evecs = np.linalg.eig(liouvillian(model, ops))
+    # the steady state is the Liouvillian's null vector
+    idx = np.argmin(np.abs(evals))
+    if abs(evals[idx]) > 1e-8:
+        raise ConvergenceError("no stationary Liouvillian mode found")
+    rho_ss = _unvec(evecs[:, idx], ops.dim)
+    rho_ss = 0.5 * (rho_ss + rho_ss.conj().T)
+    rho_ss /= np.trace(rho_ss).real
+    # the top Fock level must carry negligible weight
+    nc = n_max + 1
+    top = rho_ss[nc - 1, nc - 1].real + rho_ss[2 * nc - 1, 2 * nc - 1].real
+    if top > _CUTOFF_TOL:
+        raise CutoffError(
+            f"population {top:.2e} at Fock cutoff n_max={n_max}; increase n_max")
     flux = np.trace(c.conj().T @ c @ rho_ss).real
     if flux <= 0:
         raise ConvergenceError("steady-state channel flux vanished")
     seed = _vec(c @ rho_ss @ c.conj().T)
-    coef = prop.coeffs(seed)
-    num_weights = _vec(c.conj().T @ c).conj() @ prop.evecs  # Tr[n_op w_k] per mode
+    # eigenvectors of a small Liouvillian are well conditioned, but solve
+    # rather than invert for the coefficients
+    coef = np.linalg.solve(evecs, seed)
+    num_weights = _vec(c.conj().T @ c).conj() @ evecs  # Tr[n_op w_k] per mode
     g2 = np.empty(len(tau_grid))
     for i, tau in enumerate(tau_grid):
-        g2[i] = (num_weights * coef * np.exp(prop.evals * tau)).sum().real / flux**2
+        g2[i] = (num_weights * coef * np.exp(evals * tau)).sum().real / flux**2
     return g2
-

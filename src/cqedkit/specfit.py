@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coupled
-from .errors import (AnticrossingError, ConfigError,
+from .errors import (AnticrossingError, ConfigError, ConvergenceError,
                      InsufficientStatisticsError, NoSignalError)
 from .units import HC_UEV_NM, local_energy_per_nm, wavelength_to_energy
 
@@ -370,7 +370,8 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
     (1e-10), xtol (1e-12) or gtol (1e-8) with neither FWHM on its upper
     bound of 10x the span, where a line has turned into a second baseline.
     The result carries the solver's model and Jacobian evaluations and its
-    stop code.
+    stop code.  A fit whose residuals or Jacobian end non-finite, or whose
+    sums of their squares overflow, raises ConvergenceError.
 
     A line whose seed FWHM is below a quarter of the smallest sampling
     step is fitted in (h = A w, c, w) instead of (A, c, w).  Such a line
@@ -459,7 +460,14 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
 
     dof = len(lam) - 7
     variance = (r @ r) / dof
-    cov = variance * np.linalg.pinv(J.T @ J)
+    jtj = J.T @ J
+    # data near the float range overflow the model, its weights or these
+    # sums, and the solver stops on the non-finite gradient
+    if not (math.isfinite(variance) and np.isfinite(jtj).all()):
+        raise ConvergenceError(
+            "fit overflowed float64: its residuals or Jacobian are not "
+            "finite; rescale the wavelengths or intensities")
+    cov = variance * np.linalg.pinv(jtj)
 
     first, second = (0, 3) if p[1] <= p[4] else (3, 0)
     if first == 3:  # keep covariance aligned with the reported peak order
@@ -631,7 +639,7 @@ def extract_coupling(curve: MeasuredAnticrossing) -> CouplingExtraction:
     splitting_err = float(sep_err_nm * per_nm)
     resolvable = splitting > 2.0 * splitting_err
 
-    g = float(np.sqrt((splitting / 2.0) ** 2 + d**2 / 16.0))
+    g = coupled.extract_coupling_strength(splitting, d)
     g_err = float(np.hypot(splitting / (4.0 * g) * splitting_err,
                            d / (8.0 * g) * d_err))
     return CouplingExtraction(

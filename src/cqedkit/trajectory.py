@@ -32,7 +32,7 @@ from .errors import ConfigError, DurationError, InsufficientStatisticsError
 from .lindblad import LindbladModel
 from .units import HBAR_UEV_PS
 
-PUMP_MODES = ("resonant_pulsed", "resonant_cw", "above_band_pulsed")
+PUMP_MODES = ("resonant_pulsed", "resonant_cw")
 
 _MIN_U = 1e-12
 # log S table points per propagator: fine enough that linear interpolation
@@ -60,7 +60,8 @@ class PumpSchedule:
 
     def __post_init__(self):
         if self.mode not in PUMP_MODES:
-            raise ConfigError(f"unknown pump mode {self.mode!r}")
+            raise ConfigError(f"unknown pump mode {self.mode!r}; expected "
+                              f"one of {', '.join(PUMP_MODES)}")
         if not 0.0 <= self.excitation_prob <= 1.0:
             raise ConfigError("excitation_prob must be in [0, 1]")
         for name in ("rep_period", "capture_rate", "cw_pump_rate"):
@@ -337,7 +338,7 @@ def simulate_stream(model: LindbladModel, pump: PumpSchedule,
     rng_phys, rng_bg, rng_dark, rng_det = (
         np.random.default_rng(child) for child in ss.spawn(4))
 
-    if pump.mode in ("resonant_pulsed", "above_band_pulsed"):
+    if pump.mode == "resonant_pulsed":
         emit_t, emit_ch = _pulsed_emissions(model, pump, duration, rng_phys)
     else:
         emit_t, emit_ch = _cw_emissions(model, pump, duration, rng_phys)
@@ -377,40 +378,3 @@ def channel_rates(stream: ClickStream) -> dict[str, tuple[float, float]]:
             out[ch] = (n / stream.duration, np.sqrt(n) / stream.duration)
     return out
 
-
-def branching_fractions(model: LindbladModel) -> dict[str, float]:
-    """Exact P(photon exits via C) / P(via X) for one excitation.
-
-    Integrates the closed-form manifold amplitudes; transfer jumps count
-    toward C since the resulting cavity photon always leaves through C.
-    """
-    prop = SingleExcitationPropagator(model)
-    t = np.linspace(0.0, prop.t_max, 200001)
-    alpha, beta = prop.amplitudes(t)
-    int_a = np.trapezoid(np.abs(alpha) ** 2, t)
-    int_b = np.trapezoid(np.abs(beta) ** 2, t)
-    p_x = prop.rate_x * int_a
-    p_c = prop.rate_c * int_b + prop.rate_t * int_a
-    total = p_x + p_c
-    return {"C": p_c / total, "X": p_x / total}
-
-
-def average_excited_population(model: LindbladModel, t_grid, n_traj: int,
-                               seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trajectory-averaged exciton population from |e,0> and its SE.
-
-    Each trajectory carries the conditional no-jump state; after the first
-    jump of any channel the exciton is empty.  Per-trajectory substreams
-    come from SeedSequence(seed).spawn(n_traj).
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    prop = SingleExcitationPropagator(model)
-    u = [np.random.default_rng(child).random()
-         for child in np.random.SeedSequence(seed).spawn(n_traj)]
-    t_jump = prop.jump_times(np.clip(u, _MIN_U, None))
-    alpha, _ = prop.amplitudes(t_grid)
-    cond = np.abs(alpha) ** 2 / prop.survival(t_grid)
-    pop = np.where(t_grid < t_jump[:, None], cond, 0.0)
-    mean = pop.mean(axis=0)
-    se = pop.std(axis=0, ddof=1) / np.sqrt(n_traj)
-    return mean, se

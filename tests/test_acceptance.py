@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import conftest
+import oracles
 from cqedkit import (cli, config as cfgmod, coupled, hbt, lindblad, specfit,
                      trajectory)
 from cqedkit.lindblad import LindbladModel, Operators
@@ -103,13 +104,13 @@ def test_acceptance_05_lindblad_oracle_consistency():
             rng.uniform(-300, 300), 0.0, rng.uniform(0.5, 30),
             rng.uniform(5, 150), rng.uniform(0, 60))
         pair = coupled.eigen_energies(p)
-        rates = lindblad.liouvillian_decay_rates(
-            LindbladModel.from_system(p), n_max=1)
+        rates = oracles.liouvillian_decay_rates(
+            oracles.model_from_system(p), n_max=1)
         for mode in (pair.upper, pair.lower):
             expect = 2 * abs(mode.imag) / HBAR_UEV_PS
             worst = max(worst, np.min(np.abs(rates - expect)) / expect)
-    rhos = lindblad.evolve(MODEL, Operators(2).exciton_excited(),
-                           np.linspace(1.0, 100.0, 50), n_max=2)
+    rhos = oracles.evolve(MODEL, oracles.exciton_excited(Operators(2)),
+                          np.linspace(1.0, 100.0, 50), n_max=2)
     drift = float(np.max(np.abs(np.einsum("tii->t", rhos).real - 1.0)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and drift < 1e-8 and elapsed < 10.0
@@ -136,7 +137,7 @@ def test_acceptance_06_spectral_round_trip():
     elapsed = time.perf_counter() - t0
     g_err = abs(results[:, 0].mean() - 35.0) / 35.0
     gc_err = abs(results[:, 1].mean() - 85.0) / 85.0
-    exact = coupled.extract_coupling_strength(56.0, 85.0, 1.0)
+    exact = coupled.extract_coupling_strength(56.0, 85.0 - 1.0)
     ok = g_err < 0.05 and gc_err < 0.05 and exact == 35.0 and elapsed < 60.0
     record(6, ok, f"g err {g_err:.1%}, gamma_c err {gc_err:.1%} over 100 "
                   f"seeds, noiseless inversion {exact}, {elapsed:.1f}s")
@@ -169,7 +170,7 @@ def test_acceptance_08_poisson_mixture():
     dur = n_pulses * REP
     h = hbt.correlate(t, window=6.5 * REP, bin_width=130.0, duration=dur)
     est = hbt.pulsed_g2_zero(h, REP, n_side=6)
-    oracle = hbt.per_pulse_g2(hbt.per_pulse_counts(t, REP, dur))
+    oracle = oracles.per_pulse_g2(oracles.per_pulse_counts(t, REP, dur))
     elapsed = time.perf_counter() - t0
     ok = (abs(est.value - expect) <= 0.02
           and abs(est.value - oracle.value) < 3 * (est.stderr + oracle.stderr)
@@ -180,30 +181,26 @@ def test_acceptance_08_poisson_mixture():
 
 
 def test_acceptance_09_single_photon_operating_points():
+    # the Fig. 4 path of demo-paper: stream, histogram, g2(0) estimator
     rep = cfgmod.REP_PERIOD_PS
     window, bin_w, n_side = 6.5 * rep, 130.0, 6
     n_pulses = 120_000
     streams = {}
     for tag, cfg in (("det", cfgmod.FIG4_DETUNED_CONFIG),
                      ("res", cfgmod.FIG4_RESONANT_CONFIG)):
-        cfgmod.validate_config(cfg)
-        streams[tag] = simulate_stream(
-            cfgmod.build_model(cfg), cfgmod.build_pump(cfg),
-            cfgmod.build_detectors(cfg), n_pulses * rep, cfg["seed"])
+        streams[tag] = cli._click_stream(cfgmod.validate_config(cfg),
+                                         n_pulses)
 
-    def g2(stream, chans):
-        a = stream.filter(chans[0])
-        b = stream.filter(chans[1]) if len(chans) == 2 else None
-        h = hbt.correlate(a, b, window=window, bin_width=bin_w,
-                          duration=stream.duration)
-        return hbt.pulsed_g2_zero(h, rep, n_side=n_side)
+    def g2(stream, *chans):
+        h = cli._histogram([stream], chans, window, bin_w)
+        return cli._g2_zero(h, chans, rep, n_side)
 
     rates = trajectory.channel_rates(streams["det"])
     flux_ratio = rates["C"][0] / rates["X"][0]
     rr = g2(streams["res"], "C")
     xx = g2(streams["det"], "X")
     cc = g2(streams["det"], "C")
-    xc = g2(streams["det"], ("X", "C"))
+    xc = g2(streams["det"], "X", "C")
 
     ordering = (xx.value + 3 * np.hypot(xx.stderr, cc.stderr) < cc.value
                 and cc.value + 3 * cc.stderr < 0.5
@@ -221,7 +218,7 @@ def test_acceptance_09_single_photon_operating_points():
 def test_acceptance_10_recapture_raises_g2():
     values = []
     for m in (0.25, 0.5, 1.0, 2.0, 3.0):
-        pump = PumpSchedule(mode="above_band_pulsed", rep_period=REP,
+        pump = PumpSchedule(mode="resonant_pulsed", rep_period=REP,
                             reservoir_mean=m, capture_rate=0.01)
         s = simulate_stream(MODEL, pump, DetectorModel(), 20_000 * REP, seed=23)
         h = hbt.correlate(s.filter(("C", "X")), window=6.5 * REP,

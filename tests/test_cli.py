@@ -263,6 +263,87 @@ def test_correlate_malformed_click_file_exits_with_one_error(
     assert not out_dir.exists()
 
 
+def _spectrum_bytes(lam, y, head=b"wavelength_nm,intensity\n"):
+    return head + b"".join(f"{float(a)!r},{float(b)!r}\n".encode()
+                           for a, b in zip(lam, y))
+
+
+def _two_line_spectrum():
+    """61 samples 0.03 nm apart of the default device at resonance."""
+    pt = specfit.tuned_system(config.build_system(config.DEFAULT_CONFIG), 10.5)
+    pair = coupled.eigen_energies(pt)
+    mid = HC_UEV_NM / (0.5 * (pair.upper.real + pair.lower.real))
+    lam = mid + np.arange(-30, 31) * 0.03
+    return lam, coupled.model_spectrum(pt, lam).intensity
+
+
+NOISE_FLAG = ("--noise-fraction", "0.05")
+SPEC_LAM, SPEC_Y = _two_line_spectrum()
+SPEC_FILE = _spectrum_bytes(SPEC_LAM, SPEC_Y)
+SPEC_SPIKE = np.zeros(61)
+SPEC_SPIKE[30] = 1e300
+
+
+def _middle_intensity(text):
+    """SPEC_FILE with the middle sample's intensity written as text."""
+    lines = SPEC_FILE.splitlines(keepends=True)
+    lines[31] = lines[31].partition(b",")[0] + b"," + text + b"\n"
+    return b"".join(lines)
+
+
+#: id: (spectrum file bytes, the --noise-fraction flags with which `fit`
+#: must exit 3, or None) of a file that `fit` must survive with or
+#: without --noise-fraction 0.05
+HOSTILE_SPECTRA = {
+    "empty": (b"", None),
+    "header_only": (b"wavelength_nm,intensity\n", None),
+    "temperature_only": (b"# temperature_K=10.0\n", None),
+    "one_column": (b"".join(f"{a!r}\n".encode() for a in SPEC_LAM), None),
+    "three_columns": (SPEC_FILE.replace(b"\n", b",1.0\n"), None),
+    "nan": (_middle_intensity(b"nan"), None),
+    "inf": (_middle_intensity(b"inf"), None),
+    "repeated_wavelength": (_spectrum_bytes(np.repeat(SPEC_LAM, 2),
+                                            np.repeat(SPEC_Y, 2)), None),
+    "falling_wavelengths": (_spectrum_bytes(SPEC_LAM[::-1], SPEC_Y), None),
+    "negative_intensity": (_spectrum_bytes(SPEC_LAM, SPEC_Y - SPEC_Y[0] * 2),
+                           None),
+    "utf8_bom": (b"\xef\xbb\xbf" + SPEC_FILE, None),
+    "not_utf8": (_middle_intensity(b"\xff"), None),
+    "crlf": (SPEC_FILE.replace(b"\n", b"\r\n"), None),
+    "all_zero": (_spectrum_bytes(SPEC_LAM, np.zeros(61)), None),
+    # values near the float range: the fit overflows float64
+    "intensities_times_1e300": (_spectrum_bytes(SPEC_LAM, SPEC_Y * 1e300),
+                                ()),
+    "intensities_times_1e-310": (_spectrum_bytes(SPEC_LAM, SPEC_Y * 1e-310),
+                                 NOISE_FLAG),
+    "wavelengths_times_1e300": (_spectrum_bytes(SPEC_LAM * 1e300, SPEC_Y),
+                                ()),
+    "wavelengths_1e-300_steps": (
+        _spectrum_bytes(np.arange(1, 62) * 1e-300, SPEC_Y), ()),
+    "one_sample_1e300": (_spectrum_bytes(SPEC_LAM, SPEC_SPIKE), ()),
+}
+
+
+@pytest.mark.parametrize("flags", [(), NOISE_FLAG],
+                         ids=["unweighted", "noise_fraction"])
+@pytest.mark.parametrize("case", HOSTILE_SPECTRA)
+def test_fit_hostile_spectrum_file_exits_with_a_documented_code(
+        tmp_path, capsys, case, flags):
+    data, overflows_with = HOSTILE_SPECTRA[case]
+    path = tmp_path / "spec.csv"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "fit", str(path), *flags)
+    assert code in (0, cli.EXIT_CONFIG, cli.EXIT_CONVERGENCE,
+                    cli.EXIT_STATISTICS), err
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+        assert len([line for line in err.splitlines()
+                    if "error: " in line]) == 1, err
+    if flags == overflows_with:
+        assert code == cli.EXIT_CONVERGENCE and "overflowed" in err
+
+
 def test_simulated_click_file_reads_fast_to_the_scan_arrays(tmp_path,
                                                            capsys):
     run(capsys, "--out-dir", str(tmp_path), "simulate", "--pulses", "2000")

@@ -121,6 +121,9 @@ BAD_CONFIGS = [
                  id="removed_dephasing"),
     pytest.param(("pump", "mode"), "sideways", "pump", "sideways",
                  id="unknown_pump_mode"),
+    # ran the resonant_pulsed code, so it named no scheme of its own
+    pytest.param(("pump", "mode"), "above_band_pulsed", "pump",
+                 "above_band_pulsed", id="unknown_pump_mode_above_band_pulsed"),
     pytest.param(("pump", "excitation_prob"), 1.5, "pump", "excitation_prob",
                  id="excitation_prob_above_1"),
     pytest.param(("detectors", "efficiency"), 0, "detectors", "efficiency",

@@ -92,9 +92,9 @@ def test_splitting_real_iff_strongly_coupled():
 
 
 def test_coupling_strength_inversion():
-    assert coupled.extract_coupling_strength(56.0, 85.0, 1.0) == pytest.approx(
+    assert coupled.extract_coupling_strength(56.0, 85.0 - 1.0) == pytest.approx(
         np.sqrt(28.0**2 + 21.0**2), rel=1e-14)  # = 35 exactly
-    assert coupled.extract_coupling_strength(14.0, 10.0, 10.0) == pytest.approx(7.0)
+    assert coupled.extract_coupling_strength(14.0, 10.0 - 10.0) == pytest.approx(7.0)
 
 
 def branch_linewidths(p):

