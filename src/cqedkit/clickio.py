@@ -288,6 +288,8 @@ def read_spectrum(path) -> Spectrum:
     temperature = None
     with open(path, "rb") as fh:
         text = _decode(path, fh.read())
+    # a spreadsheet may begin the file with a byte-order mark
+    text = text.removeprefix("\ufeff")
     # splitlines breaks at \r\n and \r as well, as open() reads text
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]

@@ -37,10 +37,27 @@ first and last partners bound every bin of a walk.  They are checked
 once, before the walk, and the steps clip the bins into range only if
 that check finds one outside it, as a delay that rounds onto the window
 edge can.
+
+The autocorrelation walk bins each delay once.  The bin of +d is
+trunc(z) for z = fl(fl(edge + d) * inv), inv = fl(1 / bin_width), and
+that of -d is n_bins - 1 - trunc(z), as in exact arithmetic
+(edge + d) + (edge - d) = 2 edge = n_bins * bin_width.  The roundings of
+edge, of edge + d and edge - d, of inv and of the product, and the
+division that the product replaces, move z and the -d quotient against
+each other by less than 8 (n_bins + 1) 2^-52, counting a subnormal
+inv's rounding four times.  So where the fraction of z lies in
+[tol, 1 - tol], tol = 16 n_bins 2^-52, both bins are those of the two
+divisions.  Any other delay (a fraction near 0 or 1, as of a delay on a
+bin edge, a negative z, or a non-finite one from a huge or subnormal
+bin width) goes to the sentinel bin n_bins and is binned by the two
+divisions.  The counts are bit-identical to binning +d and -d apart.
+Extreme widths overflow to inf and nan on the way, so the kernel runs
+with numpy's floating-point warnings off.
 """
 import numpy as np
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def pair_histogram(a, b, window, bin_width, exclude_self=False):
     """All-pairs delay histogram of t_b - t_a within +/- window.
 
@@ -129,17 +146,44 @@ def _walk(counts, t, oth, lo, span, signs, edge, bin_width, lags=0):
                                         max(first.max(), last.max()))
                 for sign in signs]
         clip = min(ends) < 0 or max(ends) >= n_bins
-    for s in range(span.max(initial=0)):
+
+    def delays(s, at=slice(None)):
+        """The delays of step s, or those at the positions `at` of them."""
         if s < lags:
-            d = oth[s + 1:] - oth[:len(oth) - 1 - s]
-        else:
-            i = np.searchsorted(span, s, side="right")
-            d = oth[s:][lo[i:]] - t[i:]
+            return oth[s + 1:][at] - oth[:len(oth) - 1 - s][at]
+        i = np.searchsorted(span, s, side="right")
+        return oth[s:][lo[i:][at]] - t[i:][at]
+
+    # mirrored bins: plus[k] counts the delays d whose +d bin is k, so
+    # that -d is in bin n_bins - 1 - k; plus[n_bins] those left to bins()
+    mirror = signs == (1, -1)
+    inv = 1.0 / bin_width
+    tol = n_bins * 2.0**-48
+    plus = np.zeros(n_bins + 1, dtype=np.int64)
+    for s in range(span.max(initial=0)):
+        d = delays(s)
+        if mirror:
+            z = d  # in place; delays(s, off) gives d again where needed
+            z += edge
+            z *= inv
+            k = np.trunc(z)
+            z -= k  # the fraction: < 0 or nan if z is negative or not finite
+            k = k.astype(np.int64)
+            if clip:
+                np.minimum(k, n_bins - 1, out=k)
+            if z.min() >= tol and z.max() <= 1 - tol:
+                plus += np.bincount(k, minlength=n_bins + 1)
+                continue
+            off = np.flatnonzero(~((z >= tol) & (z <= 1 - tol)))
+            k[off] = n_bins
+            plus += np.bincount(k, minlength=n_bins + 1)
+            d = delays(s, off)
         for sign in signs:
             k = bins(d, sign)
             if clip:
                 np.clip(k, 0, n_bins - 1, out=k)
             counts += np.bincount(k, minlength=n_bins)
+    counts += plus[:n_bins] + plus[n_bins - 1::-1]
 
 
 def bin_centers(window, bin_width):

@@ -362,6 +362,7 @@ def _lm_box(fun, jac, x, lo, hi, ftol, xtol, gtol, max_nfev):
             return x, r, J, status
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
     """Box-bounded double-Lorentzian least-squares fit.
 
@@ -371,7 +372,8 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
     bound of 10x the span, where a line has turned into a second baseline.
     The result carries the solver's model and Jacobian evaluations and its
     stop code.  A fit whose residuals or Jacobian end non-finite, or whose
-    sums of their squares overflow, raises ConvergenceError.
+    sums of their squares overflow, raises ConvergenceError; numpy's
+    floating-point warnings are off inside, so that error is all it says.
 
     A line whose seed FWHM is below a quarter of the smallest sampling
     step is fitted in (h = A w, c, w) instead of (A, c, w).  Such a line

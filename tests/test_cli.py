@@ -718,6 +718,29 @@ def test_fit_weights_untagged_spectra_by_noise_fraction(tmp_path, capsys):
     }
 
 
+def test_fit_reads_a_spectrum_that_begins_with_a_byte_order_mark(
+        tmp_path, capsys, monkeypatch):
+    # spreadsheet programs save UTF-8 text with a leading U+FEFF; the
+    # report names the file, so both copies are fitted as spec.csv
+    tagged, = write_series(tmp_path, [10.0], noise=0.05)
+    data = open(tagged, "rb").read()
+    assert data.startswith(b"# temperature_K=10.0\n")
+    read, printed = [], []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "spec.csv").write_bytes(mark + data)
+        monkeypatch.chdir(tmp_path / name)
+        read.append(clickio.read_spectrum("spec.csv"))
+        code, out, err = run(capsys, "fit", "spec.csv")
+        assert code == 0, err
+        printed.append(out)
+    plain, marked = read
+    assert np.array_equal(marked.wavelength_nm, plain.wavelength_nm)
+    assert np.array_equal(marked.intensity, plain.intensity)
+    assert marked.temperature == plain.temperature == 10.0
+    assert printed[1] == printed[0]
+
+
 def test_fit_series_keeps_line_narrower_than_smoothing(tmp_path):
     # the series above at 6.0 K: the exciton line (0.0055 nm on a 0.02 nm
     # grid) stands on one raw sample, which the 5-point smoothing spreads

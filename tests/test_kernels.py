@@ -196,6 +196,67 @@ def test_autocorrelation_lag_slices_match_contract(offset, times, regime):
     assert np.array_equal(got, auto_contract(t, 300.0, 10.0))
 
 
+def edge_delays(t, window, bin_width):
+    """How many pairs i < j that count have a delay on a bin edge:
+    fl(fl(t_j - t_i) + edge) / bin_width an integer, or not finite.  The
+    autocorrelation walk bins those by division; the rest it mirrors."""
+    edge = (int(round(window / bin_width)) + 0.5) * bin_width
+    i, j = np.triu_indices(len(t), 1)
+    d = (t[j] - t[i])[t[j] < t[i] + edge]
+    z = (d + edge) / bin_width
+    return np.count_nonzero(~np.isfinite(z) | (z == np.trunc(z)))
+
+
+def half_bin_grid(offset, bin_width, seed, n=120):
+    """Sorted times on a bin_width / 2 grid, with repeats: every other
+    delay between them lies on a bin edge."""
+    rng = np.random.default_rng(seed)
+    return np.sort(offset + rng.integers(0, 2 * n, n) * (bin_width / 2))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 2.0**40, 2.0**52])
+@pytest.mark.parametrize("window_bins", [20, 20.3, 7.6], ids=[
+    "whole_bins", "partial_bin", "partial_bin_up"])
+def test_mirrored_bins_of_edge_delays_match_contract(offset, window_bins):
+    # the delays on a bin edge are those whose -d bin is not the mirror
+    # n_bins - 1 - k of their +d bin k; the walk must see and redo them
+    t = half_bin_grid(offset, 10.0, seed=24)
+    assert (np.diff(t) == 0).any()
+    window = window_bins * 10.0
+    assert edge_delays(t, window, 10.0) > 0
+    got = kernels.pair_histogram(t, t, window, 10.0, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, window, 10.0))
+
+
+@pytest.mark.parametrize("offset, bin_width, n_half", [
+    (0.0, 10.0, 20), (1e9, 2e8, 5)])
+def test_mirrored_bins_clip_delays_rounding_onto_the_window_edge(
+        offset, bin_width, n_half):
+    # the last time is just below fl(t_0 + edge), so it pairs with t_0,
+    # but fl(edge + d) rounds up to 2 edge: bin n_bins before the clip
+    window = n_half * bin_width
+    edge = (n_half + 0.5) * bin_width
+    t = half_bin_grid(offset, bin_width, seed=25, n=2 * n_half)
+    t = np.append(t[t < t[0] + edge], np.nextafter(t[0] + edge, -np.inf))
+    assert int(((t[-1] - t[0]) + edge) / bin_width) == 2 * n_half + 1
+    assert edge_delays(t, window, bin_width) > 0
+    got = kernels.pair_histogram(t, t, window, bin_width, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, window, bin_width))
+    assert got[-1] > 0
+
+
+@pytest.mark.parametrize("bin_width", [1e-300, 1e300, 1e-308, 4e-323], ids=[
+    "tiny", "huge", "subnormal", "subnormal_inf_reciprocal"])
+def test_mirrored_bins_at_extreme_bin_widths_match_contract(bin_width):
+    # 1 / 4e-323 overflows to inf, and 1e-308 is subnormal with a finite
+    # reciprocal; neither may raise a floating-point warning
+    t = half_bin_grid(0.0, bin_width, seed=26, n=80)
+    window = 12.3 * bin_width
+    assert edge_delays(t, window, bin_width) > 0
+    got = kernels.pair_histogram(t, t, window, bin_width, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, window, bin_width))
+
+
 def test_exclude_self_removes_exactly_n_zero_delay_pairs():
     t = np.array([0.0, 100.0, 250.0])
     with_self = kernels.pair_histogram(t, t, 500.0, 50.0, exclude_self=False)
