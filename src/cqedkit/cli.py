@@ -21,6 +21,7 @@ from .errors import (ConfigError, ConvergenceError, CqedError,
                      DegenerateBranchesError, DurationError,
                      InsufficientStatisticsError,
                      MiscalibrationError, PeakWindowError, WeakCouplingError)
+from .kernels import MAX_HIST_BINS
 from .units import HC_UEV_NM, q_factor, wavelength_to_energy
 
 EXIT_CONFIG = 2
@@ -46,9 +47,6 @@ N_SIDE = 6
 #: the most temperatures one sweep computes: ten times a 1 mK step over
 #: the calibrated 6-40 K range
 MAX_SWEEP_TEMPS = 100_000
-#: the most delay bins one correlation histogram holds; the paper's
-#: analysis (WINDOW_PS at BIN_WIDTH_PS) has 1,301
-MAX_HIST_BINS = 1_000_000
 
 
 def _load_config(args) -> dict:

@@ -10,11 +10,18 @@ inverting the closed-form survival probability S(t) (the Monte Carlo
 wave-function method of Dalibard, Castin & Molmer, PRL 68, 580 (1992)),
 numerically as in Devroye, Non-Uniform Random Variate Generation (1986),
 ch. 2.  Each propagator tabulates log S once, on 16,385 uniform points
-over [0, t_max].  A draw u starts from linear interpolation in log S
-across its table cell, then takes a Newton step on log S(t) - log u,
-clipped to that cell, and a second one only if the first moved it by more
-than 1e-3 ps; the draws go in blocks of 8,192, which keeps the
-temporaries small.  Everything is vectorized over pulses.
+over [0, t_max], with a guide table (Chen & Asau, AIIE Trans. 6, 163
+(1974); Devroye 1986, sec. III.2.4) of 16,384 equal cells in -log S, each
+holding the last table point below it, built by one count of the points
+per cell.  A draw's table cell is its guide entry, walked on while the
+next point is not above -log u, one vectorized compare a step.  A guide
+cell holds at most 2 table points on the detuned preset and 38 on the
+default device, where 4.8% of draws land in a cell of more than 4.
+A draw u starts from linear interpolation in log S across its table cell,
+then takes a Newton step on log S(t) - log u, clipped to that cell, and a
+second one only if the first moved it by more than 1e-3 ps; the draws go
+in blocks of 8,192, which keeps the temporaries small.  Everything is
+vectorized over pulses.
 
 Background emitters are a statistical Poisson feed into channel C, not
 Hilbert-space objects.  Detector effects (thinning, jitter, dead time,
@@ -89,7 +96,8 @@ class DetectorModel:
 
 @dataclass
 class ClickStream:
-    """Time-ordered detection records; channels 'C', 'X' or 'D' (dark)."""
+    """Time-ordered detection records; channels 'C', 'X' or 'D' (dark),
+    held as one '<U1' array."""
 
     times: np.ndarray
     channels: np.ndarray
@@ -102,6 +110,14 @@ class ClickStream:
             raise ValueError("click times must be finite")
         if np.any(np.diff(self.times) < 0):
             raise ValueError("click times must be nondecreasing")
+        channels = np.asarray(self.channels, dtype=str)
+        short = channels.astype("<U1", copy=False)
+        # '<U1' cuts longer names and holds the empty one as code point 0
+        if ((short.view(np.uint32) == 0).any() or (
+                short is not channels
+                and (np.char.str_len(channels) != 1).any())):
+            raise ValueError("click channels must be one character each")
+        self.channels = short
 
     def __len__(self):
         return len(self.times)
@@ -110,7 +126,10 @@ class ClickStream:
         """Sorted times of clicks on any of the given channels."""
         if isinstance(channels, str):
             channels = (channels,)
-        mask = np.isin(self.channels, list(channels))
+        codes = self.channels.view(np.uint32)
+        mask = np.zeros(len(codes), dtype=bool)
+        for ch in channels:
+            mask |= codes == ord(ch)
         return self.times[mask]
 
 
@@ -133,10 +152,40 @@ class SingleExcitationPropagator:
         self.t_max = 80.0 / slowest
         self._t_step = self.t_max / (_TABLE_POINTS - 1)
         surv = self.survival(np.arange(_TABLE_POINTS) * self._t_step)
-        # -log S, nondecreasing, for searchsorted
-        self._neg_log_s = -np.log(surv)
+        # -log S, nondecreasing, then +inf, which ends every guide walk
+        table = -np.log(surv)
+        self._neg_log_s = np.append(table, np.inf)
+        # guide cells: _TABLE_POINTS - 1 equal ones from table[0] to
+        # table[-1], and one more for the values at or beyond the last
+        self._guide_base = table[0]
+        self._guide_scale = (_TABLE_POINTS - 1) / (table[-1] - table[0])
+        upto = np.cumsum(np.bincount(self._guide_cell(table),
+                                     minlength=_TABLE_POINTS))
+        # guide[m]: the last table point in a cell below m, or 0.  The cell
+        # is monotone in the value, so that point is below every target in
+        # cell m, and the target's table cell does not start before it
+        self._guide = np.maximum(np.append(0, upto[:-1]) - 1, 0)
         # E[jump time] = integral of S
         self.mean_jump_time = float(np.trapezoid(surv, dx=self._t_step))
+
+    def _guide_cell(self, x: np.ndarray) -> np.ndarray:
+        """Guide cell of each -log S value x, nondecreasing in x."""
+        m = (x - self._guide_base) * self._guide_scale
+        np.clip(m, 0, _TABLE_POINTS - 1, out=m)
+        return m.astype(np.intp)
+
+    def _table_cell(self, target: np.ndarray) -> np.ndarray:
+        """The k with table[k] <= target < table[k + 1] in the -log S
+        table, clipped to [0, _TABLE_POINTS - 2]: searchsorted(table,
+        target, "right") - 1, clipped.  It starts from the target's guide
+        entry and walks on while the next point is not above the target."""
+        table = self._neg_log_s
+        k = self._guide[self._guide_cell(target)]
+        walk = np.flatnonzero(table[k + 1] <= target)
+        while len(walk):
+            k[walk] += 1
+            walk = walk[table[k[walk] + 1] <= target[walk]]
+        return np.minimum(k, _TABLE_POINTS - 2, out=k)
 
     def amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, beta) exciton/photon amplitudes at times t from |e,0>."""
@@ -161,7 +210,7 @@ class SingleExcitationPropagator:
     def jump_times(self, u: np.ndarray) -> np.ndarray:
         """Times at which the survival probability falls to each u.
 
-        The draws go in blocks of _BLOCK.  searchsorted finds each
+        The draws go in blocks of _BLOCK.  The guide table finds each
         draw's cell [t_k, t_k+1] in the log S table, and linear
         interpolation in log S across the cell gives the start.  Then
         come up to _NEWTON_STEPS Newton steps on log S(t) - log u, whose
@@ -177,8 +226,7 @@ class SingleExcitationPropagator:
         rate_a = self.rate_x + self.rate_t
         for start in range(0, len(u), _BLOCK):
             target = -np.log(u[start:start + _BLOCK])
-            k = np.searchsorted(table, target, side="right") - 1
-            np.clip(k, 0, _TABLE_POINTS - 2, out=k)
+            k = self._table_cell(target)
             left = table[k]
             frac = (target - left) / (table[k + 1] - left)
             cell = k * h

@@ -58,10 +58,25 @@ def contract(a, b, window, bin_width):
     return np.bincount(np.clip(k, 0, n_bins - 1), minlength=n_bins)
 
 
-def test_pair_histogram_matches_contract_in_either_orientation():
-    # the longer stream gives the sources, so len(a) < len(b) walks b;
-    # grid times put delays on bin edges and repeat times, and a 1e9
-    # offset makes a -/+ edge round
+def walked_streams(monkeypatch):
+    """The first argument of every kernels._walk call, as it happens."""
+    walked = []
+
+    def spy(counts, t, *args, **kwargs):
+        walked.append(t)
+        return walk(counts, t, *args, **kwargs)
+
+    walk = kernels._walk
+    monkeypatch.setattr(kernels, "_walk", spy)
+    return walked
+
+
+def test_pair_histogram_matches_contract_in_either_orientation(monkeypatch):
+    # the stream with the fewer sources plus steps times bins is walked,
+    # and here each is, many times; grid times put delays on bin edges and
+    # repeat times, and a 1e9 offset makes a -/+ edge round
+    walked = walked_streams(monkeypatch)
+    sides = set()
     rng = np.random.default_rng(14)
     for case in range(300):
         n_a, n_b = rng.integers(0, 50, 2)
@@ -78,12 +93,35 @@ def test_pair_histogram_matches_contract_in_either_orientation():
                     for n in (n_a, n_b))
         got = kernels.pair_histogram(a, b, window, bin_width)
         assert np.array_equal(got, contract(a, b, window, bin_width)), case
+        sides.add("a" if walked[-1] is a else "b")
         if n_a:
             auto = contract(a, a, window, bin_width)
             auto[len(auto) // 2] -= n_a
             assert np.array_equal(
                 kernels.pair_histogram(a, a, window, bin_width,
                                        exclude_self=True), auto), case
+    assert sides == {"a", "b"}
+
+
+@pytest.mark.parametrize("dense_is_a", [True, False],
+                         ids=["dense_a", "dense_b"])
+@pytest.mark.parametrize("n_dense, n_sparse", [(200, 2000), (2000, 20)],
+                         ids=["short_dense", "long_dense"])
+def test_cross_correlation_walks_the_cheaper_stream(monkeypatch, dense_is_a,
+                                                    n_dense, n_sparse):
+    # clicks 5 ps apart against clicks 500 ps apart, +/-1 ns in 10 ps bins
+    # (201 bins): a range of a dense click holds about 5 sparse partners, a
+    # range of a sparse one up to 400 dense partners, so a dense walk costs
+    # its length plus 5 x 201 and a sparse one its length plus up to
+    # 400 x 201.
+    # The dense stream is walked, whether it is the shorter or the longer
+    dense = 3.0 + np.arange(n_dense) * 5.0
+    sparse = np.arange(n_sparse) * 500.0
+    a, b = (dense, sparse) if dense_is_a else (sparse, dense)
+    walked = walked_streams(monkeypatch)
+    got = kernels.pair_histogram(a, b, 1000.0, 10.0)
+    assert np.array_equal(got, contract(a, b, 1000.0, 10.0))
+    assert len(walked) == 1 and walked[0] is dense
 
 
 @pytest.mark.parametrize("extra", [0, 3], ids=["same_length", "b_longer"])
@@ -129,6 +167,23 @@ def test_autocorrelation_counts_pairs_that_count_one_way(offset):
     assert (hi <= J).all() and (hi != J).any()
     got = kernels.pair_histogram(t, t, 10.0, 10.0, exclude_self=True)
     assert np.array_equal(got, auto_contract(t, 10.0, 10.0))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, -1e6, 2.0**40])
+@pytest.mark.parametrize("step", [2.5, 1 / 3], ids=["exact_grid", "third_ps"])
+def test_autocorrelation_walks_ranges_begun_from_hi(offset, step):
+    # every grid time is repeated up to 5 times.  On the 2.5 ps grid the
+    # 305 ps edge of a 300 ps window in 10 ps bins is 122 steps, so
+    # fl(t_j - edge) lands exactly on t_i for every pair 122 steps apart;
+    # on the 1/3 ps grid it lands there by rounding.  J[i] then lies
+    # several repeats beyond hi[i], and the walk from hi must reach it
+    rng = np.random.default_rng(27)
+    t = offset + np.repeat(np.arange(300) * step, rng.integers(1, 6, 300))
+    window = 300.0 if step == 2.5 else 10.0
+    _, hi, J = partner_ranges(t, window, 10.0)
+    assert (hi <= J).all() and (J - hi).max() >= 3
+    got = kernels.pair_histogram(t, t, window, 10.0, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, window, 10.0))
 
 
 def test_autocorrelation_window_below_half_an_ulp():
@@ -292,3 +347,20 @@ def test_invalid_arguments():
         kernels.pair_histogram(t, t[::-1], 100.0, 10.0)
     with pytest.raises(ValueError, match="times must be sorted ascending"):
         kernels.pair_histogram(np.array([2.0, 1.0, 3.0]), t, 100.0, 10.0)
+
+
+@pytest.mark.parametrize("window, bin_width", [
+    (1.0, 5e-324), (1e308, 1e-10), (np.nan, 1.0), (5e5, 1.0)],
+    ids=["subnormal_width", "overflowing_ratio", "nan_window", "at_the_bound"])
+def test_bin_count_beyond_the_bound_is_a_value_error(window, bin_width):
+    # raised before any bin is allocated: no OverflowError from an inf
+    # ratio, no MemoryError from a huge finite one
+    t = np.array([0.0, 1.0])
+    for call in (lambda: kernels.pair_histogram(t, t, window, bin_width),
+                 lambda: kernels.bin_centers(window, bin_width)):
+        with pytest.raises(ValueError, match="delay bins"):
+            call()
+    # just below the bound still bins
+    window = (kernels.MAX_HIST_BINS / 2) * np.nextafter(1.0, 0.0)
+    assert len(kernels.pair_histogram(t, t, window, 1.0)) == (
+        kernels.MAX_HIST_BINS + 1)

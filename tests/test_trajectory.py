@@ -74,6 +74,29 @@ def test_jump_times_match_bisection(model):
     assert np.max(np.abs(t - _bisect_jump_times(prop, u))) <= 1e-4
 
 
+@pytest.mark.parametrize("model", [
+    config.build_model(config.FIG4_DETUNED_CONFIG),
+    config.build_model(config.FIG4_RESONANT_CONFIG),
+    MODEL.with_rates(transfer=2e-3),
+    config.build_model(config.DEFAULT_CONFIG),
+], ids=["detuned", "resonant", "transfer", "default-device"])
+def test_guide_table_finds_the_searchsorted_cell(model):
+    # the guide entry plus its walk is the bisection's cell, clipped as
+    # the interpolation needs: on every table value and its neighbours,
+    # at both ends of the sampled range and on the sampler's own draws
+    prop = SingleExcitationPropagator(model)
+    table = prop._neg_log_s[:-1]
+    rng = np.random.default_rng(1)
+    target = np.concatenate([
+        table, np.nextafter(table, -np.inf), np.nextafter(table, np.inf),
+        [0.0, -np.log(trajectory._MIN_U)],
+        -np.log(np.clip(rng.random(100_000), trajectory._MIN_U, None))])
+    want = np.clip(np.searchsorted(table, target, side="right") - 1,
+                   0, len(table) - 2)
+    assert np.array_equal(prop._table_cell(target), want)
+    assert len(prop._guide) <= len(table)
+
+
 def test_branching_fractions_decoupled_limits():
     pure_x = LindbladModel(0.0, 0.0, g=0.0, gamma_x=GX, gamma_c=85.0)
     frac = oracles.branching_fractions(pure_x)
@@ -220,9 +243,30 @@ def test_click_stream_filter_and_ordering():
                     duration=10.0, seed=0)
     assert np.array_equal(s.filter("C"), [1.0, 2.0])
     assert np.array_equal(s.filter(("C", "X")), [1.0, 2.0, 2.0])
+    assert np.array_equal(s.filter(["D", "C"]), [1.0, 2.0, 5.0])
+    assert len(s.filter(())) == 0
     with pytest.raises(ValueError):
         ClickStream(times=np.array([2.0, 1.0]),
                     channels=np.array(["C", "C"]), duration=10.0, seed=0)
+
+
+@pytest.mark.parametrize("channels, ok", [
+    (["C", "X", "D"], True),
+    (np.array(["C", "X", "D"], dtype=object), True),
+    (np.array(["C", "X", "D"], dtype="<U3"), True),
+    (["C", "XX", "D"], False),
+    (["C", "", "D"], False),
+    (np.array(["C", "", "D"]), False),
+], ids=["list", "object", "wide", "two_characters", "empty", "empty_u1"])
+def test_click_stream_channels_are_one_character_each(channels, ok):
+    times = np.array([1.0, 2.0, 3.0])
+    if not ok:
+        with pytest.raises(ValueError, match="one character"):
+            ClickStream(times=times, channels=channels, duration=10.0, seed=0)
+        return
+    s = ClickStream(times=times, channels=channels, duration=10.0, seed=0)
+    assert s.channels.dtype == np.dtype("<U1")
+    assert np.array_equal(s.filter("X"), [2.0])
 
 
 def test_config_errors():
