@@ -169,10 +169,12 @@ def cmd_correlate(args) -> int:
     if args.bin > args.window:
         raise ConfigError(f"--bin {args.bin} ps is wider than "
                           f"--window {args.window} ps")
-    # 2 window / bin + 1 bins; a quotient beyond the float range is inf
+    # 2 round(window / bin) + 1 bins; a quotient beyond the float range
+    # is inf
     if 2.0 * args.window / args.bin >= MAX_HIST_BINS:
         raise ConfigError(f"--window {args.window} ps at --bin {args.bin} ps: "
-                          f"more than {MAX_HIST_BINS:,} delay bins")
+                          f"2 window / bin must be below {MAX_HIST_BINS:,} "
+                          f"(at most {MAX_HIST_BINS + 1:,} delay bins)")
     if args.rep_period < args.bin:
         # a peak narrower than a bin has no bins of its own
         raise ConfigError(f"--rep-period {args.rep_period} ps is shorter "

@@ -7,13 +7,24 @@ Click times are written with 0.1 ps precision, as integer tenths of a
 picosecond made in numpy.  The writer takes k = round-half-even(10 t)
 exactly from t = M * 2**E (np.frexp), which is the rounding of
 format(t, ".1f"), and writes the digits of k // 10, a point and k % 10,
-so the bytes are those of f"{ch},{t:.1f}\n".  Negative times, -0.0 and
-times from 2**53 up keep that f-string.  The reader has two paths that
-check the header with one function.  Rows that all read
-`ch,<1-15 digits>.<digit>` are read at once, as k / 10.0 for k <= 2**53
-their digits: the division of two exact float64s is the correctly
-rounded k/10, as float() of the token is.  Any other file goes to the
-line scan, the only path that names a bad line.
+so the bytes are those of f"{ch},{t:.1f}\n".  Sorted times make k
+nondecreasing, so the rows of each digit count are one block, found by
+searchsorted of the powers of ten in k.  Each row's last nine digits
+come from k % 10**9 and the rest from k // 10**9, both int32 (k <= 10 *
+2**53, so the quotient is below 10**8), as int32 divisions are cheaper
+than int64 ones.  Negative times, -0.0, times from 2**53 up and times
+that fall keep the f-string.
+
+The reader has two paths that check the header with one function.
+Rows that all read `ch,<1-15 digits>.<digit>`, with widths that never
+fall, are read at once, as k / 10.0 for k <= 2**53 their digits: the
+division of two exact float64s is the correctly rounded k/10, as float()
+of the token is.  The rows of one width, 6 to 20 bytes, are one block,
+found by searchsorted on the row sizes, and viewed as a 2-D array of the
+file's bytes; the block's channel column, comma column, digit columns
+and point column are each checked in place, so no row head is gathered
+by index.  Any other file goes to the line scan, the only path that
+names a bad line.
 """
 import io
 import math
@@ -51,8 +62,8 @@ def _tenths(times: np.ndarray) -> np.ndarray:
 
 def _click_rows(times: np.ndarray, channels: np.ndarray):
     """The bytes of rows f"{ch},{t:.1f}\\n", built as integer tenths;
-    None for a time that is negative, -0.0 or not below 2**53, or a
-    channel that is not one ASCII character."""
+    None for a time that is negative, -0.0 or not below 2**53, times that
+    fall, or a channel that is not one ASCII character."""
     if not (times.dtype == np.float64 and channels.dtype == np.dtype("<U1")
             and len(times) == len(channels)
             and not np.signbit(times).any() and (times < _EXACT).all()):
@@ -61,25 +72,30 @@ def _click_rows(times: np.ndarray, channels: np.ndarray):
     if not ((codes > 0) & (codes < 128)).all():
         return None
     k = _tenths(times)
-    # digits of k // 10, from 1 to 16; rows of one count are a block, and
-    # sorted times give at most 16 of them
-    ndig = np.searchsorted(10 ** np.arange(2, 18, dtype=np.int64), k,
-                           side="right") + 1
-    starts = np.flatnonzero(np.diff(ndig, prepend=0)).tolist()
+    if (k[1:] < k[:-1]).any():
+        return None
+    # rows whose k // 10 has n digits, n from 1 to 16, are a block:
+    # bounds[n - 1]:bounds[n]
+    bounds = [0, *np.searchsorted(k, 10 ** np.arange(2, 18, dtype=np.int64))
+              .tolist()]
+    # the last nine digits of k and the rest, each an int32: k <= 10 * 2**53
+    high, low = (x.astype(np.int32) for x in np.divmod(k, 10 ** 9))
     blocks = []
-    for a, b in zip(starts, starts[1:] + [len(k)]):
-        n = int(ndig[a])
+    for n, a, b in zip(range(1, 17), bounds, bounds[1:]):
+        if a == b:
+            continue
         # channel, comma, n digits, point, the tenths digit, newline
         rows = np.empty((b - a, n + 5), dtype=np.uint8)
         rows[:, 0] = codes[a:b]
         rows[:, 1] = ord(",")
         rows[:, n + 2] = ord(".")
         rows[:, n + 4] = ord("\n")
-        rest = k[a:b]
-        for col in (n + 3, *range(n + 1, 1, -1)):  # last digit first
-            tens = rest // 10
-            rows[:, col] = rest - tens * 10 + ord("0")
-            rest = tens
+        cols = (n + 3, *range(n + 1, 1, -1))  # last digit first
+        for rest, part in ((low[a:b], cols[:9]), (high[a:b], cols[9:])):
+            for col in part:
+                tens = rest // 10
+                rows[:, col] = rest - tens * 10 + ord("0")
+                rest = tens
         blocks.append(rows.tobytes())
     return b"".join(blocks)
 
@@ -178,18 +194,11 @@ def _parse_clicks(data: bytes):
     except MalformedFileError:  # the scan names the file, and reports a
         return None             # byte that is not UTF-8 first
     # the rows, a view of the file's bytes
-    u = np.frombuffer(data, dtype=np.uint8, offset=columns_end + 1)
-    ends = np.flatnonzero(u == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
-    heads = u[starts]
-    # every row opens with a channel and a comma; `and` looks past a row's
-    # first byte only if no row is empty
-    if not (np.isin(heads, list(_CHANNEL_BYTES)).all()
-            and (u[starts + 1] == ord(",")).all()):
+    rows = _decimal_rows(np.frombuffer(data, dtype=np.uint8,
+                                       offset=columns_end + 1))
+    if rows is None:
         return None
-    times = _decimal_times(u, ends)
-    if times is None:
-        return None
+    times, heads = rows
     # an ASCII byte is its own code point: <U1 without a string cast
     channels = heads.astype(np.uint32).view("U1")
     try:
@@ -199,26 +208,37 @@ def _parse_clicks(data: bytes):
         return None
 
 
-def _decimal_times(u: np.ndarray, ends: np.ndarray):
-    """Times of rows that all read `ch,<1-15 digits>.<digit>`, with row
-    lengths that never fall, as k / 10.0 for k the row's digits; None for
-    any other rows, or a k above 2**53."""
+def _decimal_rows(u: np.ndarray):
+    """(times, channel bytes) of rows that all read
+    `ch,<1-15 digits>.<digit>`, ch one of CLICK_CHANNELS, each ending in a
+    newline, with row lengths that never fall; the times as k / 10.0 for
+    k the row's digits.  None for any other rows, or a k above 2**53."""
+    ends = np.flatnonzero(u == ord("\n"))
     sizes = np.diff(ends, prepend=-1)  # bytes of each row, newline included
-    if len(sizes) and not (sizes[0] >= 6 and sizes[-1] <= 20
-                           and (np.diff(sizes) >= 0).all()):
+    # the rows of size bytes are bounds[size - 6]:bounds[size - 5]
+    bounds = np.searchsorted(sizes, np.arange(6, 22)).tolist()
+    if not (bounds[0] == 0 and bounds[-1] == len(sizes)
+            and (sizes[1:] >= sizes[:-1]).all()):
         return None
     k = np.empty(len(sizes), dtype=np.int64)
-    starts = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()
-    for a, b in zip(starts, starts[1:] + [len(sizes)]):
-        size = int(sizes[a])
+    heads = np.empty(len(sizes), dtype=np.uint8)
+    for size, a, b in zip(range(6, 21), bounds, bounds[1:]):
+        if a == b:
+            continue
         n = size - 5  # digits before the point
         # the rows of one length, one per line of a view of the body
         rows = u[ends[a] + 1 - size:ends[b - 1] + 1].reshape(b - a, size)
+        head = rows[:, 0]
+        known = head == _CHANNEL_BYTES[0]
+        for ch in _CHANNEL_BYTES[1:]:
+            known |= head == ch
         digits = rows[:, 2:size - 1] - ord("0")  # '.' wraps to 254
         ok = digits < 10
         ok[:, n] = rows[:, n + 2] == ord(".")
-        if not ok.all():
+        if not (known.all() and (rows[:, 1] == ord(",")).all()
+                and ok.all()):
             return None
+        heads[a:b] = head
         block = digits[:, 0].astype(np.int64)
         for col in (*range(1, n), n + 1):
             block *= 10
@@ -228,7 +248,7 @@ def _decimal_times(u: np.ndarray, ends: np.ndarray):
         return None
     # k / 10 is one correctly rounded division of two exact float64s, and
     # float() of the token is the correctly rounded value of the same k/10
-    return k / 10.0
+    return k / 10.0, heads
 
 
 def _scan_clicks(path, data: bytes) -> ClickStream:
@@ -265,10 +285,14 @@ def _scan_clicks(path, data: bytes) -> ClickStream:
 
 
 def write_histogram(path, h: CorrelationHistogram) -> None:
-    # counts are integers, except after accidental subtraction
-    rows = "".join([f"{float(t)!r},"
-                    f"{int(c) if float(c).is_integer() else repr(float(c))}\n"
-                    for t, c in zip(h.tau.tolist(), h.counts.tolist())])
+    counts = h.counts.tolist()
+    if not np.issubdtype(h.counts.dtype, np.integer):
+        # float counts come from accidental subtraction; whole ones are
+        # written as integers
+        counts = [int(c) if float(c).is_integer() else repr(float(c))
+                  for c in counts]
+    rows = "".join([f"{float(t)!r},{c}\n"
+                    for t, c in zip(h.tau.tolist(), counts)])
     with open(path, "w") as fh:
         fh.write("tau_ps,counts\n" + rows)
 

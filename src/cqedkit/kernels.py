@@ -1,8 +1,16 @@
 """All-pairs coincidence-counting kernel (numpy).
 
 A pair (t_a, t_b) counts iff fl(t_a - edge) <= t_b < fl(t_a + edge), and
-its delay is fl(t_b - t_a).  Two `searchsorted` bounds give each time in
-a its partner range in b; an autocorrelation searches only the upper one.
+its delay is fl(t_b - t_a).  Two bounds give each time in a its partner
+range in b, the ranks lo and hi of fl(a - edge) and fl(a + edge) in b
+(the b[j] below each); an autocorrelation needs only hi.  Both key arrays
+are sorted, so a stable argsort of the keys followed by b merges the two
+runs, and a key that ties with some b[j] sorts before it, as
+searchsorted(..., "left") counts it; the rank is the key's position less
+its index.  The merge costs about len(keys) + len(b), a search about
+len(keys) log len(b), so keys fewer than a quarter of b are searched.
+The sparse X keys of a dense CW stream's X -> C cross are searched;
+every bound of the pulsed Fig. 4 histograms is merged.
 The kernel then walks all ranges together, one partner offset per step,
 binning the delays of the sources still inside their range.  There are
 as many steps as the longest range, and no step holds more than one delay
@@ -68,8 +76,9 @@ with numpy's floating-point warnings off.
 import numpy as np
 
 
-#: the bound on 2 window / bin_width, the delay bins of a histogram less
-#: its zero bin; the paper's analysis (84.5 ns at 130 ps) has 1,301 bins
+#: 2 window / bin_width must be below it, so a histogram has at most
+#: MAX_HIST_BINS + 1 bins, its zero bin included; the paper's analysis
+#: (84.5 ns at 130 ps) has 1,301 bins
 MAX_HIST_BINS = 1_000_000
 
 
@@ -79,8 +88,10 @@ def _half_bins(window, bin_width):
     MAX_HIST_BINS."""
     ratio = window / bin_width
     if not 2.0 * ratio < MAX_HIST_BINS:
-        raise ValueError(f"window / bin_width = {ratio!r} is not finite or "
-                         f"gives more than {MAX_HIST_BINS:,} delay bins")
+        raise ValueError(f"window / bin_width = {ratio!r}: 2 window / "
+                         f"bin_width must be finite and below "
+                         f"{MAX_HIST_BINS:,} (at most {MAX_HIST_BINS + 1:,} "
+                         f"delay bins)")
     return int(round(ratio))
 
 
@@ -108,7 +119,7 @@ def pair_histogram(a, b, window, bin_width, exclude_self=False):
     edge = (n_half + 0.5) * bin_width
     counts = np.zeros(2 * n_half + 1, dtype=np.int64)
     # a[i] pairs with b[j] for lo[i] <= j < hi[i]
-    hi = np.searchsorted(b, a + edge, side="left")
+    hi = _ranks(a + edge, b)
     if (exclude_self and np.array_equal(a, b)
             and (a + edge > a).all() and (a - edge < a).all()):
         # every self pair counts, so lo[i] <= i < hi[i].  For j > i the
@@ -136,7 +147,7 @@ def pair_histogram(a, b, window, bin_width, exclude_self=False):
         _walk(counts, a[one_way], a, hi[one_way], J[one_way] - hi[one_way],
               (-1,), edge, bin_width)
         return counts
-    lo = np.searchsorted(b, a - edge, side="left")
+    lo = _ranks(a - edge, b)
     # b[j] pairs with a[i] for lo_b[j] <= i < hi_b[j]: lo_b[j] counts the
     # ranges that end at or before j, hi_b[j] those that begin there
     lo_b, hi_b = (np.cumsum(np.bincount(x, minlength=len(b) + 1))[:len(b)]
@@ -156,6 +167,19 @@ def pair_histogram(a, b, window, bin_width, exclude_self=False):
         # t + edge == t, and the self pair does not count
         counts[n_half] -= np.count_nonzero(a + edge > a)
     return counts
+
+
+def _ranks(keys, b):
+    """searchsorted(b, keys, "left") of sorted keys into sorted b: the
+    b[j] below each key.  Unless the keys are fewer than a quarter of b,
+    they are ranked by one stable merge, keys first, so that each key
+    precedes the b[j] equal to it."""
+    if 4 * len(keys) < len(b):
+        return np.searchsorted(b, keys, side="left")
+    order = np.argsort(np.concatenate((keys, b)), kind="stable")
+    # the keys keep their order, so the i-th key found is keys[i], with i
+    # keys and its rank in b before it
+    return np.flatnonzero(order < len(keys)) - np.arange(len(keys))
 
 
 def _walk(counts, t, oth, lo, span, signs, edge, bin_width, lags=0):

@@ -260,9 +260,10 @@ class SingleExcitationPropagator:
         """
         t_jump = self.jump_times(np.clip(rng.random(n), _MIN_U, None))
         alpha, beta = self.amplitudes(t_jump)
-        w_x = self.rate_x * np.abs(alpha) ** 2
+        pop_a = np.abs(alpha) ** 2
+        w_x = self.rate_x * pop_a
         w_c = self.rate_c * np.abs(beta) ** 2
-        w_t = self.rate_t * np.abs(alpha) ** 2
+        w_t = self.rate_t * pop_a
         total = w_x + w_c + w_t
         r = rng.random(n) * total
         channel = np.where(r < w_c, 0, 1)  # C else X for now

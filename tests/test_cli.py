@@ -461,12 +461,14 @@ BAD_FLAGS = {
     # is read or any array is made
     "window_1e12_bin_1": ("correlate {missing} --window=1e12 --bin=1",
                           "--window 1000000000000.0 ps at --bin 1.0 ps: "
-                          "more than 1,000,000 delay bins"),
+                          "2 window / bin must be below 1,000,000 "
+                          "(at most 1,000,001 delay bins)"),
     "window_1e300_bin_1e-300": ("correlate {missing} --window=1e300 "
-                                "--bin=1e-300", "more than 1,000,000"),
-    "bin_1e-300": ("correlate {missing} --bin=1e-300", "more than 1,000,000"),
+                                "--bin=1e-300", "must be below 1,000,000"),
+    "bin_1e-300": ("correlate {missing} --bin=1e-300",
+                   "must be below 1,000,000"),
     "bin_0.001": ("correlate {missing} --bin=0.001",
-                  "--window 84500.0 ps at --bin 0.001 ps: more than"),
+                  "--window 84500.0 ps at --bin 0.001 ps: 2 window / bin"),
     # a peak narrower than a bin: refused before the peaks are summed
     "rep_period_below_bin": ("correlate {missing} --rep-period=0.001 "
                              "--n-side=10000000",

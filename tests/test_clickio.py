@@ -240,17 +240,30 @@ def test_tenths_writer_matches_per_row_format_across_magnitudes(tmp_path):
                                 1e9 + rng.integers(0, 100, 200) * 0.05])
     edges = [0.0, 5e-324, 2.2e-308, 1e-300, 0.04, 0.05, 0.15, 0.25, 0.35,
              0.95, 2.25, 9.95, 99.95, 1e9 + 0.25, 1e9 + 0.05, 1e15 + 0.3,
-             2.0**52 - 0.5, 2.0**52, 2.0**53 - 1]
-    times = np.sort(np.concatenate([drawn, near_ties, edges]))
+             2.0**52 - 0.5, 2.0**52, 2.0**53 - 1, 1e9 - 1, 1e9 + 1]
+    # 10 t at and beside every power of ten, so that each count of digits
+    # before the point from 1 to 16 begins and ends a block; at 10**9 the
+    # writer's last nine digits part from the rest
+    tenths = [(10**e + d) / 10 for e in range(1, 18) for d in (-1, 0, 1)]
+    times = np.sort(np.concatenate([drawn, near_ties, edges,
+                                    [t for t in tenths if t < 2**53]]))
     channels = rng.choice(np.array(["C", "X", "D"]), len(times))
-    assert clickio._click_rows(times, channels) == (
-        per_row_rows(times, channels).encode())
+    want = per_row_rows(times, channels)
+    assert {len(row.partition(",")[2].partition(".")[0])
+            for row in want.splitlines()} == set(range(1, 17))
+    assert clickio._click_rows(times, channels) == want.encode()
     s = ClickStream(times=times, channels=channels, duration=2.0**53, seed=1,
                     config_hash="ab")
     path = tmp_path / "clicks.csv"
     clickio.write_click_stream(path, s)
     assert path.read_bytes().partition(b"\n")[2].partition(b"\n")[2] == (
-        per_row_rows(times, channels).encode())
+        want.encode())
+
+
+def test_falling_times_keep_the_per_row_format():
+    times = np.array([1.0, 1e9, 5.0])
+    channels = np.array(["C", "X", "C"])
+    assert clickio._click_rows(times, channels) is None
 
 
 @pytest.mark.parametrize("times", [
@@ -289,11 +302,12 @@ def test_decimal_rows_read_bit_equal_to_float(tmp_path):
     tokens, want = float_tokens(sorted(k))
     data = click_file(tokens)
     u = np.frombuffer(data.partition(b"\n")[2].partition(b"\n")[2], np.uint8)
-    fast = clickio._decimal_times(u, np.flatnonzero(u == ord("\n")))
+    fast = clickio._decimal_rows(u)
     assert fast is not None
+    assert fast[1].tobytes() == b"C" * len(k)
     path = tmp_path / "clicks.csv"
     path.write_bytes(data)
-    for times in (fast, clickio.read_click_stream(path).times):
+    for times in (fast[0], clickio.read_click_stream(path).times):
         assert np.array_equal(times.view(np.int64), want.view(np.int64))
 
 
@@ -307,7 +321,7 @@ def test_rows_beyond_the_tenths_take_the_float_step(tmp_path, k):
     tokens, want = float_tokens(k)
     data = click_file(tokens)
     u = np.frombuffer(data.partition(b"\n")[2].partition(b"\n")[2], np.uint8)
-    assert clickio._decimal_times(u, np.flatnonzero(u == ord("\n"))) is None
+    assert clickio._decimal_rows(u) is None
     # the line scan reads them
     assert clickio._parse_clicks(data) is None
     path = tmp_path / "clicks.csv"
@@ -319,7 +333,11 @@ def test_rows_beyond_the_tenths_take_the_float_step(tmp_path, k):
 def test_histogram_writer_bytes_match_per_row_loop(tmp_path):
     tau = np.arange(-5, 6) * 130.0
     for counts in (np.arange(11, dtype=np.int64) * 7,
-                   np.linspace(-2.5, 40.0, 11), np.full(11, 3.0)):
+                   np.arange(11, dtype=np.int32) - 5,
+                   np.full(11, 2**63 - 1, dtype=np.int64),
+                   np.full(11, 2**64 - 1, dtype=np.uint64),
+                   np.linspace(-2.5, 40.0, 11), np.full(11, 3.0),
+                   np.full(11, 2.0**60, dtype=np.float32)):
         h = hbt.CorrelationHistogram(tau, counts, 130.0, 1e6, 10, 10, True)
         path = tmp_path / "hist.csv"
         clickio.write_histogram(path, h)
@@ -328,3 +346,62 @@ def test_histogram_writer_bytes_match_per_row_loop(tmp_path):
             c = int(c) if float(c).is_integer() else repr(float(c))
             want += f"{float(t)!r},{c}\n"
         assert path.read_bytes() == want.encode()
+
+
+def width_rows():
+    """Three rows of each width from 6 to 20 bytes, times nondecreasing:
+    `ch,<n digits>.<digit>` for n from 1 to 15."""
+    return [b"%c,%d.%d\n" % (ch, 10 ** (n - 1) + i, i)
+            for n in range(1, 16) for i, ch in enumerate(b"CXD")]
+
+
+def test_fast_reader_takes_every_row_width(tmp_path):
+    rows = width_rows()
+    assert sorted({len(r) for r in rows}) == list(range(6, 21))
+    data = HEADER + b"".join(rows)
+    path = tmp_path / "clicks.csv"
+    fast, want = clickio._parse_clicks(data), clickio._scan_clicks(path, data)
+    assert fast is not None
+    assert np.array_equal(fast.times, want.times)
+    assert np.array_equal(fast.channels, want.channels)
+
+
+def test_bad_byte_in_any_column_goes_to_the_line_scan(tmp_path):
+    # the middle row of each width's block, each of its bytes in turn
+    path = tmp_path / "clicks.csv"
+    rows = width_rows()
+    for i in range(1, len(rows), 3):
+        for col in range(len(rows[i])):
+            bad = list(rows)
+            bad[i] = rows[i][:col] + b"?" + rows[i][col + 1:]
+            data = HEADER + b"".join(bad)
+            assert clickio._parse_clicks(data) is None, (i, col)
+            path.write_bytes(data)
+            with pytest.raises(clickio.MalformedFileError,
+                               match=f": line {3 + i}: "):
+                clickio.read_click_stream(path)
+
+
+def test_falling_row_widths_go_to_the_line_scan(tmp_path):
+    path = tmp_path / "clicks.csv"
+    rows = width_rows()
+    for i in range(0, len(rows) - 3, 3):
+        # a leading zero widens the first row of a block past the next
+        # rows: the same times, but the widths fall
+        wide = list(rows)
+        wide[i] = wide[i][:2] + b"0" + wide[i][2:]
+        data = HEADER + b"".join(wide)
+        assert clickio._parse_clicks(data) is None
+        path.write_bytes(data)
+        got, want = (clickio.read_click_stream(path),
+                     clickio._scan_clicks(path, data))
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.channels, want.channels)
+        # an earlier time, in a row no wider than the one before it
+        back = rows[:i + 3] + [b"C,0.5\n"] + rows[i + 3:]
+        data = HEADER + b"".join(back)
+        assert clickio._parse_clicks(data) is None
+        path.write_bytes(data)
+        with pytest.raises(clickio.MalformedFileError,
+                           match=f": line {3 + i + 3}: time 0.5 ps before"):
+            clickio.read_click_stream(path)

@@ -1,16 +1,26 @@
-"""Golden sha256 digests of `simulate` and `correlate` output bytes.
+"""Golden sha256 digests of CLI output bytes: `simulate`, `correlate`,
+`eigen`, `sweep` and `fit`.
 
 A change that alters output bytes on purpose updates the digests it
-alters and says in CHANGES.md which ones and why.
+alters and says in CHANGES.md which ones and why.  A failure prints each
+changed name with its new digest, as an entry of GOLDEN.
 """
 import hashlib
 
-from cqedkit import cli, config
+import numpy as np
+
+from cqedkit import cli, clickio, config, coupled, specfit
+from cqedkit.units import HBAR_UEV_PS
 
 PULSES = "4000"
 SEEDS = ("2", "7")
 #: the file the correlations read
 CORRELATED = ("single-photon-detuned", "7")
+#: the fitted series: the temperatures of acceptance criterion 6, 5% noise
+FIT_TEMPS = np.concatenate([np.arange(6.0, 8.01, 1.0),
+                            np.arange(8.5, 12.51, 0.5),
+                            np.arange(13.0, 16.01, 1.0)])
+FIT_SEED = 3
 GOLDEN = {
     "simulate default seed 2":
         "55f59307c354738a04dea4de9d2fd1ab3fd200ca67e0305912e3248bb6431f13",
@@ -40,15 +50,31 @@ GOLDEN = {
         "1fe3392e3df8d3d638212b00740646d18ae4b9c7859cad66f57d5f254e2fabfc",
     "correlate C,X report":
         "5adc6fcc895c67499c07c0d87028e1942b36edccea85fa77935f7686c50408c5",
+    "eigen default":
+        "92af811dd675bec29c0520f067f0165bf4f6134a5f609aee1a732d914db5768a",
+    "eigen single-photon-detuned":
+        "0673e05a78290c0141695fdcfc0b0d6481361c51c1f5d4e19038aed78cff506d",
+    "eigen single-photon-resonant":
+        "5baf4dcd42767b2b66ba00dcf96a493814473903bc73d028b14cba7326863d0b",
+    "sweep default":
+        "c02cc175ba95ee67ade4b0371a884095727d53eabc492afdf7e35ddb5e6c9b8f",
+    "fit series":
+        "a9e2d2b35da5ac74b140a7211ff66aedbf7927594ddaf119f732e7bf69e159ef",
 }
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def output_digests(tmp_path, capsys):
-    """{name: sha256} of every click file and of each correlation's
-    histogram and report, whose histogram path is cut to the file name."""
+    """{name: sha256} of every click file, of each correlation's histogram
+    and report, of each `eigen` report, of the default sweep's file, and
+    of the `fit` report of one series.  Paths in stdout are cut to the
+    file name."""
     def run(*argv):
         assert cli.main(["--out-dir", str(tmp_path), *argv]) == 0
-        return capsys.readouterr().out
+        return capsys.readouterr().out.replace(f"{tmp_path}/", "")
 
     digests = {}
     for preset in config.PRESETS:
@@ -56,17 +82,29 @@ def output_digests(tmp_path, capsys):
             name = f"{preset}-{seed}.csv"
             run("--seed", seed, "simulate", "--preset", preset,
                 "--pulses", PULSES, "--name", name)
-            digests[f"simulate {preset} seed {seed}"] = hashlib.sha256(
-                (tmp_path / name).read_bytes()).hexdigest()
+            digests[f"simulate {preset} seed {seed}"] = sha256(
+                (tmp_path / name).read_bytes())
     clicks = str(tmp_path / "{}-{}.csv".format(*CORRELATED))
     for channels in ("C", "X", "X,C", "C,X"):
         report = run("correlate", clicks, "--channels", channels)
-        histogram = tmp_path / "histogram.csv"
-        report = report.replace(str(histogram), "histogram.csv")
-        digests[f"correlate {channels} histogram"] = hashlib.sha256(
-            histogram.read_bytes()).hexdigest()
-        digests[f"correlate {channels} report"] = hashlib.sha256(
-            report.encode()).hexdigest()
+        digests[f"correlate {channels} histogram"] = sha256(
+            (tmp_path / "histogram.csv").read_bytes())
+        digests[f"correlate {channels} report"] = sha256(report.encode())
+    for preset in config.PRESETS:
+        digests[f"eigen {preset}"] = sha256(
+            run("eigen", "--preset", preset).encode())
+    assert run("sweep") == "anticrossing.csv\n"
+    digests["sweep default"] = sha256(
+        (tmp_path / "anticrossing.csv").read_bytes())
+    spectra = specfit.synthetic_anticrossing(
+        coupled.SystemParams(0.0, 0.0, HBAR_UEV_PS / 700.0, 85.0, 35.0),
+        FIT_TEMPS, np.random.default_rng(FIT_SEED))
+    files = []
+    for i, s in enumerate(spectra):
+        files.append(str(tmp_path / f"spec_{i:02d}.csv"))
+        clickio.write_spectrum(files[-1], s)
+    digests["fit series"] = sha256(
+        run("fit", *files, "--noise-fraction", "0.05").encode())
     return digests
 
 
@@ -74,4 +112,7 @@ def test_output_bytes_match_golden_digests(tmp_path, capsys):
     got = output_digests(tmp_path, capsys)
     changed = sorted(k for k in got.keys() | GOLDEN.keys()
                      if got.get(k) != GOLDEN.get(k))
-    assert not changed, f"output bytes changed: {', '.join(changed)}"
+    # each changed name with its new digest (None: no longer made), in
+    # the layout of GOLDEN
+    assert not changed, "output bytes changed; new digests:\n" + "".join(
+        f'    "{k}":\n        "{got.get(k)}",\n' for k in changed)

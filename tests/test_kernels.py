@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -356,11 +358,44 @@ def test_bin_count_beyond_the_bound_is_a_value_error(window, bin_width):
     # raised before any bin is allocated: no OverflowError from an inf
     # ratio, no MemoryError from a huge finite one
     t = np.array([0.0, 1.0])
+    message = (f"window / bin_width = {window / bin_width!r}: 2 window / "
+               f"bin_width must be finite and below 1,000,000 (at most "
+               f"1,000,001 delay bins)")
     for call in (lambda: kernels.pair_histogram(t, t, window, bin_width),
                  lambda: kernels.bin_centers(window, bin_width)):
-        with pytest.raises(ValueError, match="delay bins"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
     # just below the bound still bins
     window = (kernels.MAX_HIST_BINS / 2) * np.nextafter(1.0, 0.0)
     assert len(kernels.pair_histogram(t, t, window, 1.0)) == (
         kernels.MAX_HIST_BINS + 1)
+
+
+def test_merge_ranks_equal_searchsorted():
+    # 10,000 sorted cases over a small pool of values, so that keys tie
+    # with b and with each other: +/-0.0, repeats, keys overflowed to
+    # +/-inf, empty keys or b, and keys both fewer than a quarter of b
+    # (searched) and not (merged)
+    rng = np.random.default_rng(27)
+    pool = np.array([-np.inf, -1e308, -2.5, -1.0, -0.0, 0.0, 1e-300, 1.0,
+                     1.0, 2.5, 1e308, np.inf])
+    sides = {"search": 0, "merge": 0}
+    for _ in range(10_000):
+        n_keys, n_b = rng.integers(0, 40, 2)
+        keys = np.sort(rng.choice(pool, n_keys))
+        # the kernel's b is finite
+        b = np.sort(rng.choice(pool[1:-1], n_b))
+        got = kernels._ranks(keys, b)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(b, keys, side="left"))
+        sides["search" if 4 * n_keys < n_b else "merge"] += 1
+    # keys that overflow to +/-inf, as a + edge and a - edge do
+    a = np.array([-1.7e308, -1.0, 0.0, 1.7e308])
+    b = np.array([-1.7e308, -0.0, 1.7e308])
+    with np.errstate(over="ignore"):
+        shifted = (a + 1e308, a - 1e308)
+    for keys in shifted:
+        assert np.isinf(keys).any()
+        assert np.array_equal(kernels._ranks(keys, b),
+                              np.searchsorted(b, keys, side="left"))
+    assert min(sides.values()) > 1_000, sides
