@@ -72,6 +72,45 @@ bin width) goes to the sentinel bin n_bins and is binned by the two
 divisions.  The counts are bit-identical to binning +d and -d apart.
 Extreme widths overflow to inf and nan on the way, so the kernel runs
 with numpy's floating-point warnings off.
+
+A dense autocorrelation walk, one with at least 64 pairs (the sum of the
+spans) per source, drops that per-step guard and bins from prescaled
+times: with u = fl(t inv) and v = fl(u - fl(edge inv)), step s computes
+z = fl(u[j] - v[i]) for its pairs (a lag slice or a gather, as above)
+and adds bincount(int64(z)) to the mirrored bins.  Before the walk one
+pass finds the few pairs that may need more.  On Poisson times in 10 ps
+bins that pass cost about 140 ns per source (two argsorts and a search
+of sorted keys), and the prescaled steps saved about 1.6 ns per pair at
+30,000 sources and 4.6 ns at 2,000, whose steps are shorter.  The two
+walks broke even near 16 pairs per source at 2,000 sources, 80-100 at
+30,000 and 64 at 200,000; with the crossover at 64, the walk taken was
+at most 12% slower than the other on those streams.
+
+With M = max |u|, n_bins bins and eps = 2^-53, the roundings of inv,
+u[j], u[i], fl(edge inv) and v[i] put the exact u[j] - v[i] within
+eps (3M + 2 n_bins) of q = (t_j - t_i + edge) / bin_width, and those of
+the two divisions put their quotients within 2.5 eps n_bins of q and of
+n_bins - q; a partner just inside fl(t_i + edge) has q at most
+eps (M + n_bins / 2) above n_bins.  So z truncates to another bin than
+the divisions, or onto the sentinel bin n_bins, only if u[j] - v[i] lies
+within eps (4M + 4.5 n_bins) of an integer: if frac(u[j]) and frac(v[i])
+are that close, mod 1.  tol = (2M + 2.25 n_bins + 3) 2^-52 adds 6 eps
+for the roundings of the fractions and of the search keys, and for a
+subnormal edge.  The pass sorts frac(u) with copies shifted by -1 and
++1, sorts frac(v), and searches the keys frac(v) +/- tol: every value
+match (i, j), wrap-around included.  The matches with j in the range of
+i are binned by the walk like every other pair; after it their int64(z)
+is taken out of the mirrored bins and their bins from the two divisions
+added, clipped.  The counts are bit-identical to the per-step walk's.
+The autocorrelations of the resonant-CW benchmark streams had no value
+match at all.
+
+The per-step guard stays for a walk with fewer than 64 pairs per source
+(the Fig. 4 C and X autocorrelations of a 100,000-pulse run have about
+6 and 2 later partners per click), with more value
+matches than sources (grid-valued times: a CW stream rounded to 0.1 ps
+gave about 10 M), with a bin width or inv that is not a normal number,
+a fl(edge inv) that is not finite, or tol not below 1/4.
 """
 import numpy as np
 
@@ -187,7 +226,9 @@ def _walk(counts, t, oth, lo, span, signs, edge, bin_width, lags=0):
     for lo[i] <= j < lo[i] + span[i]; the bin of -d is that of the delay
     fl(t[i] - oth[j]).  Steps s < lags take the lag slice of oth against
     itself: the caller guarantees that t is oth, lo[i] = i + 1 and span
-    > s exactly for i < len(oth) - 1 - s.  Reorders lo and span."""
+    > s exactly for i < len(oth) - 1 - s.  A mirrored walk that
+    _prescaled finds dense bins from prescaled times.  Reorders lo and
+    span."""
     n_bins = len(counts)
 
     def bins(d, sign):
@@ -222,9 +263,29 @@ def _walk(counts, t, oth, lo, span, signs, edge, bin_width, lags=0):
     # mirrored bins: plus[k] counts the delays d whose +d bin is k, so
     # that -d is in bin n_bins - 1 - k; plus[n_bins] those left to bins()
     mirror = signs == (1, -1)
+    plus = np.zeros(n_bins + 1, dtype=np.int64)
+    scaled = mirror and _prescaled(oth, t, lo, span, edge, bin_width, n_bins)
+    if scaled:
+        # a step bins trunc(z), z = fl(u[j] - v[i]); the value matches in
+        # range are binned too, and moved to the divisions' bins after
+        u, v_lag, v, src, dst = scaled
+        for s in range(span.max(initial=0)):
+            if s < lags:
+                z = u[s + 1:] - v_lag[:len(u) - 1 - s]
+            else:
+                i = np.searchsorted(span, s, side="right")
+                z = u[s:][lo[i:]] - v[i:]
+            plus += np.bincount(z.astype(np.int64), minlength=n_bins + 1)
+        plus -= np.bincount((u[dst] - v[src]).astype(np.int64),
+                            minlength=n_bins + 1)
+        d = oth[dst] - t[src]
+        for sign in signs:
+            counts += np.bincount(np.clip(bins(d, sign), 0, n_bins - 1),
+                                  minlength=n_bins)
+        counts += plus[:n_bins] + plus[n_bins - 1::-1]
+        return
     inv = 1.0 / bin_width
     tol = n_bins * 2.0**-48
-    plus = np.zeros(n_bins + 1, dtype=np.int64)
     for s in range(span.max(initial=0)):
         d = delays(s)
         if mirror:
@@ -249,6 +310,55 @@ def _walk(counts, t, oth, lo, span, signs, edge, bin_width, lags=0):
                 np.clip(k, 0, n_bins - 1, out=k)
             counts += np.bincount(k, minlength=n_bins)
     counts += plus[:n_bins] + plus[n_bins - 1::-1]
+
+
+def _prescaled(oth, t, lo, span, edge, bin_width, n_bins):
+    """(u, v_lag, v, src, dst) for a dense mirrored walk of oth against
+    itself, or None where the walk keeps its per-step guard.
+
+    u = fl(oth * inv) and v_lag = fl(u - fl(edge * inv)), both in the
+    order of oth, and v the same as v_lag for the sources t.  The pairs
+    in range whose trunc(fl(u[j] - v[i])) may not be a bin of the two
+    divisions are those with oth[dst[m]] the partner of source t[src[m]].
+    Dense means at least 64 pairs per source; beyond as many value
+    matches as sources, the walk keeps its guard too."""
+    if span.sum() < 64 * len(span) or not len(span):
+        return None
+    tiny = np.finfo(np.float64).tiny
+    inv = 1.0 / bin_width
+    e = edge * inv
+    u = oth * inv
+    tol = (2.0 * np.abs(u).max() + 2.25 * n_bins + 3.0) * 2.0**-52
+    # nan and inf fail every compare
+    if not (tiny <= bin_width and tiny <= inv and e < n_bins and tol < 0.25):
+        return None
+    v_lag = u - e
+    v = t * inv
+    v -= e
+    # the sorted fractions of u, with copies one below and one above,
+    # hold every fraction within tol of one of v, wrap-around included;
+    # a window 2 tol wide holds at most one copy of each.  Sorted keys
+    # are searched about five times faster than unsorted ones
+    fu = u - np.floor(u)
+    by_fu = np.argsort(fu)
+    ring = fu[by_fu]
+    ring = np.concatenate((ring - 1, ring, ring + 1))
+    fv = v - np.floor(v)
+    by_fv = np.argsort(fv)
+    fv = fv[by_fv]
+    # fv - tol < 1 <= ring[-1], so first is inside the ring, and for all
+    # but the few keys with a match ring[first] is beyond fv + tol
+    first = np.searchsorted(ring, fv - tol, side="left")
+    near = np.flatnonzero(ring[first] <= fv + tol)
+    n_match = np.searchsorted(ring, fv[near] + tol, side="right") - first[near]
+    if n_match.sum() > len(t):
+        return None
+    src = np.repeat(by_fv[near], n_match)
+    at = np.arange(len(src)) - np.repeat(
+        np.cumsum(n_match) - n_match - first[near], n_match)
+    dst = by_fu[at % len(u)]
+    keep = (lo[src] <= dst) & (dst < lo[src] + span[src])
+    return u, v_lag, v, src[keep], dst[keep]
 
 
 def bin_centers(window, bin_width):

@@ -156,9 +156,11 @@ class SingleExcitationPropagator:
         table = -np.log(surv)
         self._neg_log_s = np.append(table, np.inf)
         # guide cells: _TABLE_POINTS - 1 equal ones from table[0] to
-        # table[-1], and one more for the values at or beyond the last
+        # -log(_MIN_U), the largest target a draw gives, and one more for
+        # the values at or beyond it
         self._guide_base = table[0]
-        self._guide_scale = (_TABLE_POINTS - 1) / (table[-1] - table[0])
+        self._guide_top = -np.log(_MIN_U)
+        self._guide_scale = (_TABLE_POINTS - 1) / (self._guide_top - table[0])
         upto = np.cumsum(np.bincount(self._guide_cell(table),
                                      minlength=_TABLE_POINTS))
         # guide[m]: the last table point in a cell below m, or 0.  The cell
@@ -178,9 +180,13 @@ class SingleExcitationPropagator:
         """The k with table[k] <= target < table[k + 1] in the -log S
         table, clipped to [0, _TABLE_POINTS - 2]: searchsorted(table,
         target, "right") - 1, clipped.  It starts from the target's guide
-        entry and walks on while the next point is not above the target."""
+        entry and walks on while the next point is not above the target;
+        a target beyond the guide's range, which no draw gives, starts from
+        its searchsorted cell instead."""
         table = self._neg_log_s
         k = self._guide[self._guide_cell(target)]
+        beyond = np.flatnonzero(target > self._guide_top)
+        k[beyond] = np.searchsorted(table, target[beyond], side="right") - 1
         walk = np.flatnonzero(table[k + 1] <= target)
         while len(walk):
             k[walk] += 1

@@ -1,5 +1,6 @@
 """Golden sha256 digests of CLI output bytes: `simulate`, `correlate`,
-`eigen`, `sweep` and `fit`.
+`eigen`, `sweep`, `fit` and `demo-paper`, and of the dense
+autocorrelation counts of a resonant-CW stream.
 
 A change that alters output bytes on purpose updates the digests it
 alters and says in CHANGES.md which ones and why.  A failure prints each
@@ -9,7 +10,7 @@ import hashlib
 
 import numpy as np
 
-from cqedkit import cli, clickio, config, coupled, specfit
+from cqedkit import cli, clickio, config, coupled, hbt, specfit, trajectory
 from cqedkit.units import HBAR_UEV_PS
 
 PULSES = "4000"
@@ -21,6 +22,12 @@ FIT_TEMPS = np.concatenate([np.arange(6.0, 8.01, 1.0),
                             np.arange(8.5, 12.51, 0.5),
                             np.arange(13.0, 16.01, 1.0)])
 FIT_SEED = 3
+#: demo-paper's pulses per Fig. 4 run
+DEMO_PULSES = "2000"
+#: a resonant-CW stream of the default device: duration (ps), pump rate
+#: (1/ps) and seed.  Its +/-30 ns autocorrelations in 10 ps bins have
+#: about 580 pairs per click
+CW = (1.5e5, 0.05, 4)
 GOLDEN = {
     "simulate default seed 2":
         "55f59307c354738a04dea4de9d2fd1ab3fd200ca67e0305912e3248bb6431f13",
@@ -60,6 +67,12 @@ GOLDEN = {
         "c02cc175ba95ee67ade4b0371a884095727d53eabc492afdf7e35ddb5e6c9b8f",
     "fit series":
         "a9e2d2b35da5ac74b140a7211ff66aedbf7927594ddaf119f732e7bf69e159ef",
+    "demo-paper":
+        "034d608434f120d71a9a3158d00db08f456763ba8b9a331316ca275a6cef08cd",
+    "cw C+X counts":
+        "710bb04ce8260475b3c1a5129d24888124449ae6c618f0ed4b145fde0dde5fa7",
+    "cw C counts":
+        "1edb6f11fd9a669a31cb6e8d323edc7ed7a31a6adf9e9e49b37090f3a4cf54ca",
 }
 
 
@@ -70,7 +83,9 @@ def sha256(data: bytes) -> str:
 def output_digests(tmp_path, capsys):
     """{name: sha256} of every click file, of each correlation's histogram
     and report, of each `eigen` report, of the default sweep's file, and
-    of the `fit` report of one series.  Paths in stdout are cut to the
+    of the `fit` report of one series, of `demo-paper`'s table (it exits 1
+    while its acceptance 4 row fails), and of the int64 counts of two
+    autocorrelations of one CW stream.  Paths in stdout are cut to the
     file name."""
     def run(*argv):
         assert cli.main(["--out-dir", str(tmp_path), *argv]) == 0
@@ -105,6 +120,19 @@ def output_digests(tmp_path, capsys):
         clickio.write_spectrum(files[-1], s)
     digests["fit series"] = sha256(
         run("fit", *files, "--noise-fraction", "0.05").encode())
+    assert cli.main(["demo-paper", "--pulses", DEMO_PULSES]) in (0, 1)
+    digests["demo-paper"] = sha256(capsys.readouterr().out.encode())
+    duration, rate, seed = CW
+    cfg = config.validate_config(dict(config.DEFAULT_CONFIG, pump={
+        "mode": "resonant_cw", "cw_pump_rate": rate}))
+    stream = trajectory.simulate_stream(
+        config.build_model(cfg), config.build_pump(cfg),
+        config.build_detectors(cfg), duration, seed)
+    for channels in (("C", "X"), ("C",)):
+        h = hbt.correlate(stream.filter(channels), window=30000.0,
+                          bin_width=10.0, duration=duration)
+        digests[f"cw {'+'.join(channels)} counts"] = sha256(
+            h.counts.astype("<i8").tobytes())
     return digests
 
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from cqedkit import kernels
+from cqedkit import cli, config, hbt, kernels, trajectory
 
 
 def brute_force(a, b, window, bin_width, exclude_self):
@@ -264,25 +264,62 @@ def edge_delays(t, window, bin_width):
     return np.count_nonzero(~np.isfinite(z) | (z == np.trunc(z)))
 
 
-def half_bin_grid(offset, bin_width, seed, n=120):
-    """Sorted times on a bin_width / 2 grid, with repeats: every other
-    delay between them lies on a bin edge."""
+def half_bin_grid(offset, bin_width, seed, n=120, slots=None):
+    """Sorted times on a bin_width / 2 grid of `slots` points (2 n by
+    default), with repeats: every other delay between them lies on a bin
+    edge."""
     rng = np.random.default_rng(seed)
-    return np.sort(offset + rng.integers(0, 2 * n, n) * (bin_width / 2))
+    slots = 2 * n if slots is None else slots
+    return np.sort(offset + rng.integers(0, slots, n) * (bin_width / 2))
+
+
+def prescaled_calls(monkeypatch):
+    """The result of every kernels._prescaled call, as it happens: None
+    where the walk kept its per-step guard."""
+    calls = []
+
+    def spy(*args):
+        calls.append(prescaled(*args))
+        return calls[-1]
+
+    prescaled = kernels._prescaled
+    monkeypatch.setattr(kernels, "_prescaled", spy)
+    return calls
+
+
+def pairs_per_time(t, window, bin_width):
+    """The mean span of the autocorrelation walk: the later partners of a
+    time.  The walk is dense from 64."""
+    _, hi, _ = partner_ranges(t, window, bin_width)
+    return (hi - np.arange(1, len(t) + 1)).mean()
+
+
+#: (n, slots) of half_bin_grid: the sparse default, and 300 times on 60
+#: grid points, which passes the dense rule
+GRID_SIZES = {"sparse": (120, None), "dense": (300, 60)}
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6, 2.0**40, 2.0**52])
-@pytest.mark.parametrize("window_bins", [20, 20.3, 7.6], ids=[
-    "whole_bins", "partial_bin", "partial_bin_up"])
-def test_mirrored_bins_of_edge_delays_match_contract(offset, window_bins):
+@pytest.mark.parametrize("window_bins, size", [
+    (w, size) for size in GRID_SIZES for w in (20, 20.3, 7.6)], ids=[
+    "whole_bins", "partial_bin", "partial_bin_up", "whole_bins_dense",
+    "partial_bin_dense", "partial_bin_up_dense"])
+def test_mirrored_bins_of_edge_delays_match_contract(monkeypatch, offset,
+                                                     window_bins, size):
     # the delays on a bin edge are those whose -d bin is not the mirror
     # n_bins - 1 - k of their +d bin k; the walk must see and redo them
-    t = half_bin_grid(offset, 10.0, seed=24)
+    n, slots = GRID_SIZES[size]
+    t = half_bin_grid(offset, 10.0, seed=24, n=n, slots=slots)
     assert (np.diff(t) == 0).any()
     window = window_bins * 10.0
     assert edge_delays(t, window, 10.0) > 0
+    assert (pairs_per_time(t, window, 10.0) >= 64) == (size == "dense")
+    calls = prescaled_calls(monkeypatch)
     got = kernels.pair_histogram(t, t, window, 10.0, exclude_self=True)
     assert np.array_equal(got, auto_contract(t, window, 10.0))
+    # the sparse grid fails the dense rule, and the dense one matches in
+    # value far beyond its times: the per-step guard bins both
+    assert calls == [None]
 
 
 @pytest.mark.parametrize("offset, bin_width, n_half", [
@@ -302,16 +339,186 @@ def test_mirrored_bins_clip_delays_rounding_onto_the_window_edge(
     assert got[-1] > 0
 
 
-@pytest.mark.parametrize("bin_width", [1e-300, 1e300, 1e-308, 4e-323], ids=[
-    "tiny", "huge", "subnormal", "subnormal_inf_reciprocal"])
-def test_mirrored_bins_at_extreme_bin_widths_match_contract(bin_width):
+EXTREME_WIDTHS = {"tiny": 1e-300, "huge": 1e300, "subnormal": 1e-308,
+                  "subnormal_inf_reciprocal": 4e-323}
+
+
+@pytest.mark.parametrize("bin_width, n, slots", [
+    (w, *size) for size in ((80, None), (300, 40))
+    for w in EXTREME_WIDTHS.values()], ids=[
+    *EXTREME_WIDTHS, *(f"{name}_dense" for name in EXTREME_WIDTHS)])
+def test_mirrored_bins_at_extreme_bin_widths_match_contract(bin_width, n,
+                                                            slots):
     # 1 / 4e-323 overflows to inf, and 1e-308 is subnormal with a finite
-    # reciprocal; neither may raise a floating-point warning
-    t = half_bin_grid(0.0, bin_width, seed=26, n=80)
+    # reciprocal; neither may raise a floating-point warning.  300 times
+    # on 40 grid points pass the dense rule
+    t = half_bin_grid(0.0, bin_width, seed=26, n=n, slots=slots)
     window = 12.3 * bin_width
     assert edge_delays(t, window, bin_width) > 0
+    assert (pairs_per_time(t, window, bin_width) >= 64) == (slots is not None)
     got = kernels.pair_histogram(t, t, window, bin_width, exclude_self=True)
     assert np.array_equal(got, auto_contract(t, window, bin_width))
+
+
+def test_dense_walk_takes_cw_autocorrelations_not_fig4(monkeypatch,
+                                                       tmp_path, capsys):
+    # a resonant-CW stream correlated over +/-30 ns in 10 ps bins has
+    # hundreds of partners per click; the Fig. 4 histograms of the seed-5
+    # 100,000-pulse detuned run, 6-13
+    calls = prescaled_calls(monkeypatch)
+    cfg = config.validate_config(dict(config.DEFAULT_CONFIG, pump={
+        "mode": "resonant_cw", "cw_pump_rate": 0.05}))
+    stream = trajectory.simulate_stream(
+        config.build_model(cfg), config.build_pump(cfg),
+        config.build_detectors(cfg), 1.5e5, 4)
+    for channels in (("C", "X"), ("C",)):
+        hbt.correlate(stream.filter(channels), window=30000.0,
+                      bin_width=10.0, duration=1.5e5)
+    assert len(calls) == 2 and None not in calls
+    calls.clear()
+    out = ["--out-dir", str(tmp_path)]
+    assert cli.main([*out, "--seed", "5", "simulate", "--preset",
+                     "single-photon-detuned", "--pulses", "100000"]) == 0
+    for channels in ("C", "X"):
+        assert cli.main([*out, "correlate", str(tmp_path / "clicks.csv"),
+                         "--channels", channels]) == 0
+    # the clicks of a file are tagged to 0.1 ps, so their fractions match
+    # too; untagged Poisson times with about 10 partners each are sparse
+    # by the rule alone
+    t = np.cumsum(np.random.default_rng(32).exponential(13.0, 3000))
+    assert pairs_per_time(t, 130.0, 10.0) < 64
+    kernels.pair_histogram(t, t, 130.0, 10.0, exclude_self=True)
+    assert calls == [None, None, None]
+    capsys.readouterr()
+
+
+def edge_planted(offset, seed, n=200, planted=40):
+    """n random times over 600 ps and `planted` pairs of times on a
+    2^-12 ps grid exactly (m + 1/2) 10 ps apart: on a bin edge of 10 ps
+    bins."""
+    rng = np.random.default_rng(seed)
+    first = offset + np.round(rng.uniform(0.0, 600.0, planted) * 2**12) / 2**12
+    delay = (rng.integers(0, 30, planted) + 0.5) * 10.0
+    second = first + delay
+    assert np.array_equal(second - first, delay)
+    return np.sort(np.concatenate([offset + rng.uniform(0.0, 600.0, n),
+                                   first, second]))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, -1e6, 2.0**40])
+def test_dense_walk_redoes_delays_planted_on_bin_edges(monkeypatch, offset):
+    # a delay on a bin edge has a -d bin that is not the mirror of its +d
+    # bin, so only the correction after the walk bins it right
+    t = edge_planted(offset, seed=28)
+    assert pairs_per_time(t, 300.0, 10.0) >= 64
+    assert edge_delays(t, 300.0, 10.0) >= 40
+    calls = prescaled_calls(monkeypatch)
+    got = kernels.pair_histogram(t, t, 300.0, 10.0, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, 300.0, 10.0))
+    (u, v_lag, v, src, dst), = calls
+    assert len(src) >= 40
+
+
+#: (bin_width, n_half, t_i, t_j): of about 6e8 pairs drawn near bin
+#: edges, those whose prescaled delay fl(u[j] - v[i]) truncates to
+#: another bin than the divisions with frac(u[j]) and frac(v[i]) farthest
+#: apart: 0.53-0.58 of tol.  A tol half as wide leaves each in a wrong bin
+ROUNDED_FARTHEST = [
+    (0.12036250782168756, 2203, 0.02293138504437291, 246.9466161812363),
+    (0.4106928089488941, 2240, 0.05142516456105426, 856.9619710364283),
+    (0.15832672635882675, 1130, 0.1872776227919378, 167.3011372945335),
+    (964.5582668319958, 2374, 103612.71123789904, 2274351.0907433047),
+    (48.246828692559006, 2134, 8.791476205798762, 95465.14204443376),
+]
+
+
+@pytest.mark.parametrize("bin_width, n_half, t_i, t_j", ROUNDED_FARTHEST)
+def test_dense_walk_redoes_pairs_rounded_farthest(monkeypatch, bin_width,
+                                                  n_half, t_i, t_j):
+    # the pair among 150 random times between them: every pair counts,
+    # about 75 a time, and no time scales above t_j
+    rng = np.random.default_rng(29)
+    t = np.sort(np.concatenate([[t_i, t_j], rng.uniform(t_i, t_j, 150)]))
+    window = n_half * bin_width
+    assert pairs_per_time(t, window, bin_width) >= 64
+    calls = prescaled_calls(monkeypatch)
+    got = kernels.pair_histogram(t, t, window, bin_width, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, window, bin_width))
+    (u, v_lag, v, src, dst), = calls
+    # the pair is found: sources are in span order, so t_i, the first
+    # time, is the last source, and t_j the last partner
+    assert ((src == len(t) - 1) & (dst == len(t) - 1)).any()
+
+
+def test_grid_valued_dense_walk_keeps_the_per_step_guard(monkeypatch):
+    # CW-like arrivals 1 ps apart on average, tagged to 0.1 ps: the
+    # fractions of u take at most 100 values, so value matches far
+    # outnumber the times
+    rng = np.random.default_rng(30)
+    t = np.round(np.cumsum(rng.exponential(1.0, 400)), 1)
+    assert pairs_per_time(t, 300.0, 10.0) >= 64
+    calls = prescaled_calls(monkeypatch)
+    got = kernels.pair_histogram(t, t, 300.0, 10.0, exclude_self=True)
+    assert np.array_equal(got, auto_contract(t, 300.0, 10.0))
+    assert calls == [None]
+
+
+def random_dense_segments(rng, n_segments, bin_width, window):
+    """Sorted times of n_segments random streams of 130-200 times each,
+    every stream within one window, so that it has about 65-100 partners
+    a time, and each more than two windows after the last.  A stream is
+    uniform, or has repeated times, pairs planted on bin edges, a
+    partner just inside the window edge, or a few grid times."""
+    edge = (int(round(window / bin_width)) + 0.5) * bin_width
+    out, start = [], 0.0
+    for _ in range(n_segments):
+        n = int(rng.integers(130, 201))
+        t = start + rng.uniform(0.0, edge, n)
+        kind = rng.integers(5)
+        if kind == 1:
+            t[: n // 4] = rng.choice(t[n // 4:], n // 4)
+        elif kind == 2:
+            k = rng.integers(1, 8)
+            t[:k] = start + np.round(rng.uniform(0.0, edge / 2, k)
+                                     / bin_width) * bin_width
+            t[k:2 * k] = t[:k] + (rng.integers(0, int(edge / bin_width), k)
+                                  + 0.5) * bin_width
+        elif kind == 3:
+            t[-1] = np.nextafter(t[0] + edge, -np.inf)
+        elif kind == 4:
+            t[:10] = start + rng.integers(0, 20, 10) * (bin_width / 2)
+        out.append(t)
+        start = t.max() + 2.5 * edge
+    return np.sort(np.concatenate(out))
+
+
+def test_dense_walk_equals_the_per_step_walk(monkeypatch):
+    # 10,000 random dense streams, 100 to a call: each call draws its bin
+    # width, window and offset, and the per-step walk, forced by a
+    # _prescaled that always declines, gives the same counts
+    rng = np.random.default_rng(31)
+    calls = prescaled_calls(monkeypatch)
+    spy = kernels._prescaled
+    taken = matches = 0
+    for case in range(100):
+        bin_width = float(rng.choice([1.0, 2.5, 10.0, 130.0,
+                                      rng.uniform(0.01, 50.0)]))
+        window = bin_width * rng.integers(1, 40) + rng.uniform(0, bin_width)
+        offset = float(rng.choice([0.0, 1e3, -1e6, 2.0**30, 2.0**40]))
+        t = offset + random_dense_segments(rng, 100, bin_width, window)
+        assert pairs_per_time(t, window, bin_width) >= 64, case
+        monkeypatch.setattr(kernels, "_prescaled", spy)
+        got = kernels.pair_histogram(t, t, window, bin_width,
+                                     exclude_self=True)
+        monkeypatch.setattr(kernels, "_prescaled", lambda *args: None)
+        want = kernels.pair_histogram(t, t, window, bin_width,
+                                      exclude_self=True)
+        assert np.array_equal(got, want), case
+        if calls[-1] is not None:
+            taken += 1
+            matches += len(calls[-1][3])
+    # 87 calls took the dense walk, with 70,828 value matches in range
+    assert taken >= 80 and matches > 10_000, (taken, matches)
 
 
 def test_exclude_self_removes_exactly_n_zero_delay_pairs():
