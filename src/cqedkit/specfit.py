@@ -4,12 +4,12 @@ Lorentzians are parameterized by area (not height) for stable covariance
 near merged peaks; each spectrum gets one constant baseline.  Fits are
 box-bounded least squares with an analytic Jacobian, solved by a small
 Levenberg-Marquardt loop projected onto the bounds (`_lm_box`), so a
-width that reaches its floor sits exactly on it.  A line whose seed FWHM
-is below a quarter of the sampling step is fitted in the coordinates
-(A w, c, w) instead: the data fix only its A w and centre, and in those
-coordinates the solver reaches the width floor in a few steps instead of
-sliding along A w = const.  Areas, covariance and the convergence flag
-are reported in the area coordinates either way.  A fitted temperature
+width that reaches its floor sits exactly on it.  A line whose FWHM is
+or falls below a quarter of the sampling step is fitted in the
+coordinates (A w, c, w) instead: the data fix only its A w and centre,
+and in those coordinates the solver reaches the width floor in a few
+steps instead of sliding along A w = const.  Areas, covariance and the
+convergence flag are reported in the area coordinates either way.  A fitted temperature
 series is assembled into a branch-continued anticrossing from which
 (gamma_c, gamma_x, splitting, g) are inverted.  Synthetic series tune
 the exciton and cavity lines with temperature by the fixed calibration
@@ -271,7 +271,7 @@ def initial_guess(s: Spectrum) -> np.ndarray:
     return np.array(params)
 
 
-def _lm_box(fun, jac, x, lo, hi, ftol, xtol, gtol, max_nfev):
+def _lm_box(fun, jac, x, lo, hi, ftol, xtol, gtol, max_nfev, stop=None):
     """Minimise 0.5*|fun(x)|^2 on the box lo <= x <= hi.
 
     Levenberg-Marquardt with Marquardt's diagonal scaling, projected onto
@@ -290,7 +290,8 @@ def _lm_box(fun, jac, x, lo, hi, ftol, xtol, gtol, max_nfev):
     Returns (x, residuals, Jacobian at x, status) with scipy's status
     codes: 0 evaluation cap or a non-finite gradient, 1 projected
     gradient below gtol, 2 relative cost reduction below ftol, 3 step
-    below xtol.
+    below xtol.  An optional predicate stop(x), checked at each accepted
+    point that meets none of these, returns that point with status -1.
     """
     n = len(x)
     eye = np.eye(n)
@@ -313,6 +314,8 @@ def _lm_box(fun, jac, x, lo, hi, ftol, xtol, gtol, max_nfev):
         # a NaN or inf gradient makes every step non-finite: stop at once
         if nfev >= max_nfev or not math.isfinite(gmax):
             return x, r, J, 0
+        if stop is not None and stop(x):
+            return x, r, J, -1
         free = room > 0
         jtj = J.T @ J
         scale = np.maximum(scale, jtj.diagonal())  # More's monotone scaling
@@ -375,14 +378,20 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
     sums of their squares overflow, raises ConvergenceError; numpy's
     floating-point warnings are off inside, so that error is all it says.
 
-    A line whose seed FWHM is below a quarter of the smallest sampling
-    step is fitted in (h = A w, c, w) instead of (A, c, w).  Such a line
-    has at most one sample within two FWHMs of its centre, and off its
-    core a line puts about A w / (2 pi d^2) on a sample at distance d, so
-    the data fix only h and c.  In area coordinates the fit slides along
-    the curved ridge A w = const, about 2% of w per step, until the
+    A line whose FWHM is or falls below a quarter of the smallest
+    sampling step is fitted in (h = A w, c, w) instead of (A, c, w).  Such
+    a line has at most one sample within two FWHMs of its centre, and off
+    its core a line puts about A w / (2 pi d^2) on a sample at distance
+    d, so the data fix only h and c.  In area coordinates the fit slides
+    along the curved ridge A w = const, about 2% of w per step, until the
     width reaches its floor; in (h, c, w) that ridge is a straight line
-    along w, and Gauss-Newton steps follow it.  The Jacobian columns
+    along w, and Gauss-Newton steps follow it.  The seed picks each
+    line's coordinates.  A line in area coordinates that falls below the
+    quarter step at an accepted point ends that leg of `_lm_box`; the fit
+    picks the coordinates again by the same rule and goes on from that
+    point within the same 600 evaluations.  A line switches at most once,
+    from area to (h, c, w) coordinates, so a fit has at most three legs,
+    and its counts and stop code cover them all.  The Jacobian columns
     follow by the chain rule, d/dh = (d/dA) / w and d/dw at fixed h =
     d/dw at fixed A - (d/dA) A / w, and the area-coordinate Jacobian at
     the solution, which gives the covariance, is transformed back from
@@ -424,13 +433,9 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
                    1e-300, lam[0] - span, w_min, -np.inf])
     hi = np.array([np.inf, lam[-1] + span, 10 * span,
                    np.inf, lam[-1] + span, 10 * span, np.inf])
-    # a seed line below a quarter step, 12.5 floors, is fitted in (A w, c, w)
-    x0 = np.clip(seed, lo, hi)
-    sub = [k for k in (0, 3) if x0[k + 2] < 12.5 * w_min]
-    lo_q, q0 = lo.copy(), x0.copy()
-    for k in sub:
-        lo_q[k] = lo[k] * hi[k + 2]  # so that A = h / w >= lo[k] on the box
-        q0[k] = max(x0[k] * x0[k + 2], lo_q[k])
+    # a line below a quarter step, 12.5 floors, is fitted in (A w, c, w)
+    q, lo_q = np.clip(seed, lo, hi), lo.copy()
+    sub = []
     evals = [0, 0]
 
     def areas(q):
@@ -452,8 +457,19 @@ def fit_double_lorentzian(s: Spectrum, seed=None, sigma=None) -> FitResult:
             J[:, k + 2] -= J[:, k] * p[k]  # d/dw at fixed h
         return J
 
-    q, r, J, status = _lm_box(fun, jac, q0, lo_q, hi, ftol=1e-10, xtol=1e-12,
-                              gtol=1e-8, max_nfev=MAX_ITERATIONS * 3)
+    def narrowed(q):  # the lines in area coordinates below a quarter step
+        return [k for k in (0, 3) if k not in sub and q[k + 2] < 12.5 * w_min]
+
+    while True:  # a line switches at most once, so at most three legs
+        for k in narrowed(q):
+            sub.append(k)
+            lo_q[k] = lo[k] * hi[k + 2]  # so that A = h / w >= lo[k]
+            q[k] = max(q[k] * q[k + 2], lo_q[k])
+        q, r, J, status = _lm_box(
+            fun, jac, q, lo_q, hi, ftol=1e-10, xtol=1e-12, gtol=1e-8,
+            max_nfev=MAX_ITERATIONS * 3 - evals[0], stop=narrowed)
+        if status >= 0:
+            break
     p = areas(q)
     for k in sub:  # the area-coordinate Jacobian at the solution
         J[:, k + 2] += J[:, k] * p[k]

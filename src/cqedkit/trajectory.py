@@ -152,9 +152,11 @@ class SingleExcitationPropagator:
         self.t_max = 80.0 / slowest
         self._t_step = self.t_max / (_TABLE_POINTS - 1)
         surv = self.survival(np.arange(_TABLE_POINTS) * self._t_step)
-        # -log S, nondecreasing, then +inf, which ends every guide walk
+        # -log S, nondecreasing, then NaN, which ends every guide walk: no
+        # target, +inf included, is at or above it, and searchsorted
+        # places it last
         table = -np.log(surv)
-        self._neg_log_s = np.append(table, np.inf)
+        self._neg_log_s = np.append(table, np.nan)
         # guide cells: _TABLE_POINTS - 1 equal ones from table[0] to
         # -log(_MIN_U), the largest target a draw gives, and one more for
         # the values at or beyond it
@@ -296,6 +298,18 @@ def _check_events(n: int, what: str, duration: float) -> None:
                             f"than the {_MAX_EVENTS:,} one run may sample")
 
 
+def _check_poisson(field: str, value: float, count: float, unit: str,
+                   what: str) -> None:
+    """ConfigError naming a config field, before any draw, if it gives a
+    run more than _MAX_EVENTS Poisson events on average: value per unit,
+    over count units."""
+    mean = value * count
+    if mean > _MAX_EVENTS:
+        raise ConfigError(f"{field} {value!r}: {mean:.3g} expected {what} in "
+                          f"{count:.6g} {unit}, more than the {_MAX_EVENTS:,} "
+                          f"one run may sample")
+
+
 def _pulsed_emissions(model, pump, duration, rng):
     """Emission (times, channels) for all pulses, vectorized in rounds."""
     lifetime_scale = 2.0 * HBAR_UEV_PS / (model.gamma_c + model.gamma_x)
@@ -308,6 +322,8 @@ def _pulsed_emissions(model, pump, duration, rng):
         raise DurationError(f"duration shorter than one pulse period "
                             f"({pump.rep_period} ps)")
     _check_events(n_pulses, "pulses", duration)
+    _check_poisson("pump.reservoir_mean", pump.reservoir_mean, n_pulses,
+                   "pulses", "recaptures")
     prop = SingleExcitationPropagator(model)
     pulse_t = np.arange(n_pulses) * pump.rep_period
 
@@ -389,6 +405,10 @@ def simulate_stream(model: LindbladModel, pump: PumpSchedule,
     """Generate a detector-level click stream; bit-exact for fixed seed."""
     if duration <= 0:
         raise ConfigError("duration must be positive")
+    _check_poisson("pump.background_feed_rate", pump.background_feed_rate,
+                   duration, "ps", "background photons")
+    _check_poisson("detectors.dark_count_rate", det.dark_count_rate,
+                   duration, "ps", "dark counts")
     ss = np.random.SeedSequence(seed)
     rng_phys, rng_bg, rng_dark, rng_det = (
         np.random.default_rng(child) for child in ss.spawn(4))

@@ -654,6 +654,33 @@ def test_fit_underdetermined_spectrum_is_statistics_error(tmp_path, capsys,
     assert "at least 8" in err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("pump", "background_feed_rate", 1e300),
+    ("pump", "background_feed_rate", 40.0),
+    ("pump", "reservoir_mean", 1e300),
+    ("pump", "reservoir_mean", 6e5),
+    ("detectors", "dark_count_rate", 1e300),
+    ("detectors", "dark_count_rate", 40.0),
+])
+def test_simulate_refuses_more_poisson_events_than_a_run_samples(
+        tmp_path, capsys, section, key, value):
+    # 200 pulses are 2.6e6 ps: 40 per ps, or a mean of 6e5 carriers per
+    # pulse, is just over the 1e8 events one run may sample, and 1e300
+    # is beyond numpy's Poisson range.  Each is refused by name before
+    # any draw
+    cfg = json.loads(json.dumps(config.FIG4_DETUNED_CONFIG))
+    cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), "simulate",
+                         "--config", str(path), "--pulses", "200")
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"error: {section}.{key} {value!r}: ")
+    assert err.count("\n") == 1 and "100,000,000" in err
+    assert not (tmp_path / "clicks.csv").exists()
+
+
 def test_invalid_config_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     cfg = json.loads(json.dumps(config.DEFAULT_CONFIG))

@@ -66,7 +66,7 @@ GOLDEN = {
     "sweep default":
         "c02cc175ba95ee67ade4b0371a884095727d53eabc492afdf7e35ddb5e6c9b8f",
     "fit series":
-        "a9e2d2b35da5ac74b140a7211ff66aedbf7927594ddaf119f732e7bf69e159ef",
+        "0f0135dcf372be64f2e1a74e30be75470dca230c00eead0b8ae735ac6915a863",
     "demo-paper":
         "034d608434f120d71a9a3158d00db08f456763ba8b9a331316ca275a6cef08cd",
     "cw C+X counts":

@@ -104,6 +104,21 @@ def test_jacobian_matches_finite_differences_on_floor_and_random_lines():
             assert np.max(np.abs(jac[:, k] - fd)) < 1e-5 * scale
 
 
+def recorded_legs(monkeypatch):
+    """The stop codes of every `_lm_box` call from here on: -1 ends a leg
+    at which a line switched to (A w, c, w)."""
+    statuses = []
+    lm_box = specfit._lm_box
+
+    def recorded(*args, **kwargs):
+        out = lm_box(*args, **kwargs)
+        statuses.append(out[3])
+        return out
+
+    monkeypatch.setattr(specfit, "_lm_box", recorded)
+    return statuses
+
+
 def test_fits_evaluate_through_the_module_level_model(monkeypatch):
     # every model and Jacobian evaluation goes through the module-level
     # names, which perfbench's counters and the evaluation bound of
@@ -133,11 +148,13 @@ def test_fits_evaluate_through_the_module_level_model(monkeypatch):
     monkeypatch.setattr(specfit, "double_lorentzian", counted_model)
     monkeypatch.setattr(specfit, "double_lorentzian_jacobian", counted_jacobian)
     monkeypatch.setattr(specfit, "fit_double_lorentzian", counted_fit)
+    legs = recorded_legs(monkeypatch)
     spectra = acceptance6_spectra(4)
     s = spectra[1]
     specfit.fit_double_lorentzian(s, sigma=0.05 * s.intensity)
     fit_series(spectra, noise_fraction=0.05)
     assert len(per_fit) > len(spectra)
+    assert legs.count(-1) >= 2  # the counts hold for fits that switched
     for n_model, n_jacobian in per_fit:
         assert 0 < n_jacobian <= n_model <= 600
 
@@ -231,8 +248,12 @@ def test_far_detuned_fit_stops_at_width_floor(monkeypatch):
 def test_fresh_fits_land_exactly_on_width_floor():
     # acceptance 6 at 7.0 K, each seed fitted alone: a step that would
     # cross the floor puts the width on it and re-solves the rest, so no
-    # fit creeps towards the floor and stops just above it
-    near = []
+    # fit creeps towards the floor and stops just above it.  The exciton
+    # line is seeded wider than a quarter step; once it falls below, the
+    # fit goes on in (A w, c, w) and reaches the floor in a few steps,
+    # where in area coordinates it slid along A w = const for 93-262
+    # model evaluations (16-22 now)
+    near, evals = [], []
     for seed in range(100):
         s = acceptance6_spectra(seed)[1]
         fit = fit_double_lorentzian(s, sigma=0.05 * s.intensity)
@@ -240,14 +261,47 @@ def test_fresh_fits_land_exactly_on_width_floor():
         narrow = min(p.fwhm for p in fit.peaks)
         if narrow < 1.001 * floor:
             near.append(narrow / floor)
+            evals.append(fit.model_evals)
     assert len(near) >= 10
     assert near == [1.0] * len(near)
+    assert max(evals) <= 30
+
+
+def below_quarter_step(s, params):
+    """Whether a line of params (A1,c1,w1,A2,c2,w2,b) is narrower than a
+    quarter of the grid step, 12.5 width floors."""
+    return min(params[2], params[5]) < 12.5 * specfit.width_floor(s.wavelength_nm)
+
+
+def fitted_params(fit):
+    p1, p2 = fit.peaks
+    return [p1.area, p1.center, p1.fwhm, p2.area, p2.center, p2.fwhm,
+            fit.baseline]
+
+
+def test_switched_fit_keeps_one_evaluation_budget(monkeypatch):
+    # acceptance 6, seed 10, at 7.0 K: the exciton line, seeded above a
+    # quarter step, falls below it after 11 model evaluations, and the
+    # fit ends on the width floor after 22.  The legs share one budget of
+    # 3 MAX_ITERATIONS evaluations, so a cap in either leg stops the fit
+    # there, unconverged
+    s = acceptance6_spectra(10)[1]
+    sigma = 0.05 * s.intensity
+    legs = recorded_legs(monkeypatch)
+    fit = fit_double_lorentzian(s, sigma=sigma)
+    assert legs == [-1, 2] and fit.status == 2 and fit.model_evals == 22
+    for iterations in range(1, 8):
+        monkeypatch.setattr(specfit, "MAX_ITERATIONS", iterations)
+        legs.clear()
+        fit = fit_double_lorentzian(s, sigma=sigma)
+        assert legs[-1] == fit.status == 0 and not fit.converged
+        assert fit.model_evals == 3 * iterations
+        assert legs == ([0] if iterations < 4 else [-1, 0])
 
 
 def area_coordinate_fit(s, seed, sigma):
     """(reduced chi^2, model evaluations) of `_lm_box` in the area
-    coordinates (A, c, w) from the fit's start, or None when no line of
-    that start is below a quarter step."""
+    coordinates (A, c, w) from the fit's start, all along the solve."""
     lam, y = s.wavelength_nm, s.intensity
     span = lam[-1] - lam[0]
     floor = specfit.width_floor(lam)
@@ -256,8 +310,6 @@ def area_coordinate_fit(s, seed, sigma):
     hi = np.array([np.inf, lam[-1] + span, 10 * span, np.inf, lam[-1] + span,
                    10 * span, np.inf])
     x0 = np.clip(initial_guess(s) if seed is None else seed, lo, hi)
-    if min(x0[2], x0[5]) >= 12.5 * floor:
-        return None
     w = 1.0 / np.maximum(sigma, 1e-3 * np.max(sigma))
     calls = []
 
@@ -275,22 +327,22 @@ def area_coordinate_fit(s, seed, sigma):
 def covariance_diagonal(s, sigma, fit):
     """Diagonal of the covariance from the area-coordinate Jacobian at the
     fit's parameters, in the fit's peak order."""
-    p1, p2 = fit.peaks
-    p = [p1.area, p1.center, p1.fwhm, p2.area, p2.center, p2.fwhm, fit.baseline]
     w = 1.0 / np.maximum(sigma, 1e-3 * np.max(sigma))
-    jac = double_lorentzian_jacobian(s.wavelength_nm, p) * w[:, None]
+    jac = double_lorentzian_jacobian(s.wavelength_nm, fitted_params(fit)) * w[:, None]
     return fit.reduced_chi2 * np.diag(np.linalg.pinv(jac.T @ jac))
 
 
 def test_sub_grid_coordinates_reach_the_area_coordinate_fit():
-    # oracle: the area coordinates from the same start, for every fit whose
-    # start has a line below a quarter step.  A fresh fit, in a series or
-    # alone, must end at the same cost.  A warm start whose narrow line
-    # sits a grid step from the exciton (15.0 K) can end in another basin
-    # in either coordinates, so there the reported fit is compared: it
-    # must reach the lowest cost of its candidates' area-coordinate runs.
-    # The (A w, c, w) coordinates must take fewer evaluations in all, and
-    # the covariance must be that of the area coordinates.
+    # oracle: the area coordinates from the same start, all along the
+    # solve, for every fit with a line below a quarter step at its start
+    # (fitted in (A w, c, w) from the seed) or at its end (switched to
+    # them when the line fell below).  A fresh fit, in a series or alone,
+    # must end at the same cost.  A warm start whose narrow line sits a
+    # grid step from the exciton (15.0 K) can end in another basin in
+    # either coordinates, so there the reported fit is compared: it must
+    # reach the lowest cost of its candidates' area-coordinate runs.  The
+    # (A w, c, w) coordinates must take fewer evaluations in all, and the
+    # covariance must be that of the area coordinates.
     fits = []
     fit = specfit.fit_double_lorentzian
 
@@ -299,10 +351,15 @@ def test_sub_grid_coordinates_reach_the_area_coordinate_fit():
         fits.append((s, seed, sigma, out))
         return out
 
+    def sub_grid(s, seed, got):
+        start = initial_guess(s) if seed is None else seed
+        return (below_quarter_step(s, start)
+                or below_quarter_step(s, fitted_params(got)))
+
     series = [acceptance6_spectra(seed) for seed in range(20)]
     series.append(acceptance6_spectra(10)[:2])  # the far-detuned 7.0 K case
     evals = {"sub_grid": 0, "area": 0}
-    n_fresh = 0
+    n_fresh = n_switched = 0
     for spectra in series:
         fits.clear()
         with pytest.MonkeyPatch.context() as mp:
@@ -312,8 +369,9 @@ def test_sub_grid_coordinates_reach_the_area_coordinate_fit():
         for s, seed, sigma, got in fits:
             t = s.temperature
             lowest[t] = min(lowest.get(t, np.inf), got.reduced_chi2)
-            if (ref := area_coordinate_fit(s, seed, sigma)) is None:
+            if not sub_grid(s, seed, got):
                 continue
+            ref = area_coordinate_fit(s, seed, sigma)
             assert got.status > 0
             assert np.allclose(np.diag(got.covariance),
                                covariance_diagonal(s, sigma, got), rtol=1e-4)
@@ -327,13 +385,15 @@ def test_sub_grid_coordinates_reach_the_area_coordinate_fit():
             assert reported[t].reduced_chi2 == pytest.approx(chi2, rel=1e-6)
         for s in spectra:
             sigma = 0.05 * s.intensity
-            if (ref := area_coordinate_fit(s, None, sigma)) is not None:
+            got = fit(s, sigma=sigma)
+            if sub_grid(s, None, got):
                 n_fresh += 1
-                got = fit(s, sigma=sigma)
+                n_switched += not below_quarter_step(s, initial_guess(s))
+                ref = area_coordinate_fit(s, None, sigma)
                 assert got.reduced_chi2 == pytest.approx(ref[0], rel=1e-6)
                 evals["sub_grid"] += got.model_evals
                 evals["area"] += ref[1]
-    assert n_fresh >= 20
+    assert n_fresh >= 20 and n_switched >= 5
     assert evals["sub_grid"] < evals["area"]
 
 

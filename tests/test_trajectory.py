@@ -84,7 +84,7 @@ def test_guide_table_finds_the_searchsorted_cell(model):
     # the guide entry plus its walk is the bisection's cell, clipped as
     # the interpolation needs: on every table value and its neighbours,
     # at both ends of the sampled range and beside its top, where the
-    # guide ends, beyond it and on the sampler's own draws
+    # guide ends, beyond it up to +inf and on the sampler's own draws
     prop = SingleExcitationPropagator(model)
     table = prop._neg_log_s[:-1]
     rng = np.random.default_rng(1)
@@ -92,7 +92,7 @@ def test_guide_table_finds_the_searchsorted_cell(model):
     target = np.concatenate([
         table, np.nextafter(table, -np.inf), np.nextafter(table, np.inf),
         [0.0, top, np.nextafter(top, -np.inf), np.nextafter(top, np.inf),
-         top + 1e-9, 2 * top, 1e3],
+         top + 1e-9, 2 * top, 1e3, np.inf],
         -np.log(np.clip(rng.random(100_000), trajectory._MIN_U, None))])
     want = np.clip(np.searchsorted(table, target, side="right") - 1,
                    0, len(table) - 2)
