@@ -13,6 +13,7 @@ subtraction that contradicts the counts.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def _out_path(args, name: str) -> str:
 
 def cmd_eigen(args) -> int:
     cfg = _load_config(args)
-    p = cfgmod.build_system(cfg)
+    p = cfgmod.build_model(cfg)
     pair = coupled.eigen_energies(p)
     fom = coupled.figures_of_merit(p.g, p.gamma_c, p.gamma_x)
     fields = {
@@ -89,7 +90,7 @@ def cmd_eigen(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    p = cfgmod.build_system(cfg)
+    p = cfgmod.build_model(cfg)
     t_lo, t_hi = specfit.T_MIN_K, specfit.T_MAX_K
     if not t_lo <= args.t_min <= args.t_max <= t_hi:
         raise ConfigError(
@@ -279,7 +280,7 @@ def cmd_demo_paper(args) -> int:
         rows.append((name, value, target, tol))
 
     cfg = cfgmod.validate_config(cfgmod.DEFAULT_CONFIG)
-    p = cfgmod.build_system(cfg)
+    p = cfgmod.build_model(cfg)
     check("vacuum Rabi splitting (ueV)",
           coupled.vacuum_rabi_splitting(p), 56.0, 1.0)
     check("g / gamma_c", p.g / p.gamma_c, 0.412, 0.003)
@@ -329,7 +330,7 @@ def cmd_demo_paper(args) -> int:
     check("g2(0) detuned, cavity channel", g2(det_stream, "C"), 0.39, 0.08)
     check("g2(0) detuned, cross X-C", g2(det_stream, "X", "C"), 0.22, 0.08)
 
-    model = cfgmod.build_model(cfg).with_rates(pump_x=1e-4)
+    model = replace(p, pump_x=1e-4)
     tau = np.linspace(0.0, 120.0, 241)
     cw = lindblad.cw_g2(model, tau, channel="X")
     target = cw[-1] * (1.0 - 1.0 / np.e)

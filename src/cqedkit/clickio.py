@@ -62,15 +62,13 @@ def _tenths(times: np.ndarray) -> np.ndarray:
 
 def _click_rows(times: np.ndarray, channels: np.ndarray):
     """The bytes of rows f"{ch},{t:.1f}\\n", built as integer tenths;
-    None for a time that is negative, -0.0 or not below 2**53, times that
-    fall, or a channel that is not one ASCII character."""
+    None for a time that is negative, -0.0 or not below 2**53, or times
+    that fall."""
     if not (times.dtype == np.float64 and channels.dtype == np.dtype("<U1")
             and len(times) == len(channels)
             and not np.signbit(times).any() and (times < _EXACT).all()):
         return None
     codes = channels.view("<u4")
-    if not ((codes > 0) & (codes < 128)).all():
-        return None
     k = _tenths(times)
     if (k[1:] < k[:-1]).any():
         return None
@@ -101,6 +99,15 @@ def _click_rows(times: np.ndarray, channels: np.ndarray):
 
 
 def write_click_stream(path, stream: ClickStream) -> None:
+    """Write a click file; a channel that is not one of CLICK_CHANNELS,
+    which the reader refuses, raises ValueError before any file exists."""
+    codes = stream.channels.view("<u4")
+    known = np.zeros(len(codes), dtype=bool)
+    for ch in CLICK_CHANNELS:
+        known |= codes == ord(ch)
+    if not known.all():
+        raise ValueError(f"click channel {chr(codes[known.argmin()])!r} "
+                         f"is not one of {', '.join(CLICK_CHANNELS)}")
     header = (f"{CLICK_MAGIC} seed={stream.seed} "
               f"duration_ps={stream.duration!r} "
               f"confighash={stream.config_hash}\n{CLICK_COLUMNS}\n")

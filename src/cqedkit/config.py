@@ -2,22 +2,25 @@
 
 A run config is one JSON document with sections device / pump /
 detectors plus a seed.  The classes each section builds
-(LindbladModel, PumpSchedule, DetectorModel) own its keys and ranges, so
-an unknown key is rejected rather than silently falling back to a
-default; so is device.pump_x or feed_c, which no command reads.  Every
-output embeds the sha256 hash of the canonical (sorted, minimal) JSON
-encoding, making runs reproducible from the config alone.
+(coupled.SystemParams, PumpSchedule, DetectorModel) own its keys and
+ranges, so an unknown key is rejected rather than silently falling back
+to a default; so is device.pump_x or feed_c, SystemParams rates that
+only lindblad.cw_g2 reads and no command takes from a config.  A device
+energy, linewidth or coupling above MAX_DEVICE_UEV is refused too: the
+closed-form mode energies square it.  Every output embeds the sha256
+hash of the canonical (sorted, minimal) JSON encoding, making runs
+reproducible from the config alone.
 The HBT analysis settings (bin width, window, side peaks) are not config:
 they are flags of the correlate command (cli.py).
 """
 import copy
 import hashlib
 import json
+import math
 import sys
 
 from .coupled import SystemParams
 from .errors import ConfigError
-from .lindblad import LindbladModel
 from .trajectory import DetectorModel, PumpSchedule
 from .units import HBAR_UEV_PS, wavelength_to_energy
 
@@ -81,10 +84,14 @@ PRESETS = {
 
 
 #: the config sections built into objects, and the classes that check them
-_SECTIONS = {"device": LindbladModel, "pump": PumpSchedule,
+_SECTIONS = {"device": SystemParams, "pump": PumpSchedule,
             "detectors": DetectorModel}
-#: LindbladModel rates of the master equation alone (lindblad.cw_g2)
+#: SystemParams rates of the master equation alone (lindblad.cw_g2)
 _UNREAD_DEVICE_KEYS = ("pump_x", "feed_c")
+#: the largest device energy, linewidth or coupling in ueV: the closed form
+#: (coupled._eigenvalues) squares differences of up to about 4.5 of them,
+#: which stay below the float range under this bound
+MAX_DEVICE_UEV = math.sqrt(sys.float_info.max) / 8
 
 
 def _field_error(path: str, what) -> ConfigError:
@@ -102,8 +109,9 @@ def validate_config(cfg: dict) -> dict:
     The seed is an int >= 0 and every section value but pump.mode a
     finite number.  Keys, required fields and ranges of the device, pump
     and detectors sections are checked by building their _SECTIONS
-    classes; e_x, e_c must also be > 0, and device.pump_x and feed_c,
-    which no command reads, must be absent.
+    classes; e_x, e_c must also be > 0, the device's values in ueV at
+    most MAX_DEVICE_UEV, and device.pump_x and feed_c, which no command
+    reads, must be absent.
     """
     if not isinstance(cfg, dict):
         raise _field_error("<root>", "expected an object")
@@ -126,6 +134,10 @@ def validate_config(cfg: dict) -> dict:
     for key in ("e_x", "e_c"):
         if cfg["device"].get(key, 1.0) <= 0:
             raise _field_error(f"device.{key}", "must be > 0")
+    for key in ("e_x", "e_c", "g", "gamma_x", "gamma_c"):
+        if cfg["device"].get(key, 0.0) > MAX_DEVICE_UEV:
+            raise _field_error(f"device.{key}",
+                               f"must be at most {MAX_DEVICE_UEV:.4g} ueV")
     for key in _UNREAD_DEVICE_KEYS:
         if key in cfg["device"]:
             raise _field_error(f"device.{key}", "no command reads it from a "
@@ -153,12 +165,8 @@ def load_config(path) -> dict:
     return validate_config(cfg)
 
 
-def build_model(cfg: dict) -> LindbladModel:
-    return LindbladModel(**cfg["device"])
-
-
-def build_system(cfg: dict) -> SystemParams:
-    return build_model(cfg).system
+def build_model(cfg: dict) -> SystemParams:
+    return SystemParams(**cfg["device"])
 
 
 def build_pump(cfg: dict) -> PumpSchedule:

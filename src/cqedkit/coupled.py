@@ -13,29 +13,45 @@ whose eigenvalues are the complex mode energies
 with Delta = E_x - E_c.  Decaying modes carry negative imaginary part and
 the FWHM of branch k is 2*|Im E_k|.
 """
-from dataclasses import dataclass
+import cmath
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateBranchesError, WeakCouplingError
-from .units import HBAR_UEV_PS
+from .units import HBAR_UEV_PS, HC_UEV_NM
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Exciton/cavity centers, FWHM linewidths and coupling, all in ueV."""
+    """The exciton-cavity device.
+
+    Exciton/cavity centers, FWHM linewidths and coupling in ueV.  pump_x
+    (incoherent exciton pump), feed_c (Poissonian photon injection into
+    the cavity) and transfer (phenomenological exciton -> cavity-photon
+    feeding) are rates in 1/ps: the master equation (lindblad) reads all
+    three, the quantum-jump sampler (trajectory) reads transfer, and the
+    closed forms here read none.
+    """
 
     e_x: float
     e_c: float
     gamma_x: float
     gamma_c: float
     g: float
+    pump_x: float = 0.0
+    feed_c: float = 0.0
+    transfer: float = 0.0
 
     def __post_init__(self):
         if not (self.gamma_x > 0 and self.gamma_c > 0):
             raise ValueError("linewidths gamma_x, gamma_c must be > 0")
         if self.g < 0:
             raise ValueError("coupling g must be >= 0")
+        for name in ("pump_x", "feed_c", "transfer"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def detuning(self) -> float:
@@ -43,9 +59,8 @@ class SystemParams:
         return self.e_x - self.e_c
 
     def at_detuning(self, delta: float) -> "SystemParams":
-        """Same system with the exciton moved to E_c + delta."""
-        return SystemParams(self.e_c + delta, self.e_c,
-                            self.gamma_x, self.gamma_c, self.g)
+        """Same device with the exciton moved to E_c + delta."""
+        return replace(self, e_x=self.e_c + delta)
 
 
 @dataclass(frozen=True)
@@ -75,7 +90,7 @@ def mode_matrix(p: SystemParams) -> np.ndarray:
 
 def _eigenvalues(p: SystemParams) -> tuple[complex, complex]:
     avg = 0.5 * (p.e_c + p.e_x) - 0.25j * (p.gamma_c + p.gamma_x)
-    rad = np.sqrt(complex(p.g**2) - (p.gamma_c - p.gamma_x - 2j * p.detuning) ** 2 / 16.0)
+    rad = cmath.sqrt(complex(p.g**2) - (p.gamma_c - p.gamma_x - 2j * p.detuning) ** 2 / 16.0)
     return avg + rad, avg - rad
 
 
@@ -101,14 +116,14 @@ def vacuum_rabi_splitting(p: SystemParams) -> float:
     rad = p.g**2 - (p.gamma_c - p.gamma_x) ** 2 / 16.0
     if rad <= 0:
         raise WeakCouplingError("no real splitting: system is not strongly coupled")
-    return 2.0 * np.sqrt(rad)
+    return 2.0 * math.sqrt(rad)
 
 
 def extract_coupling_strength(splitting: float, loss_difference: float) -> float:
     """Invert the resonance splitting S for g, given the loss difference
     d = gamma_c - gamma_x: sqrt((S/2)^2 + d^2/16).  A zero splitting gives
     the strong-coupling threshold |d|/4."""
-    return float(np.sqrt((splitting / 2.0) ** 2 + loss_difference**2 / 16.0))
+    return math.sqrt((splitting / 2.0) ** 2 + loss_difference**2 / 16.0)
 
 
 def _exciton_branch(p: SystemParams) -> complex:
@@ -177,16 +192,13 @@ def figures_of_merit(g: float, gamma_c: float, gamma_x: float) -> FiguresOfMerit
     return FiguresOfMerit(purcell, eta, splitting, sc)
 
 
-def model_spectrum(p: SystemParams, wavelength_grid_nm):
-    """Two-Lorentzian emission spectrum on a wavelength grid.
+def model_spectrum(p: SystemParams, wavelength_grid_nm) -> np.ndarray:
+    """Two-Lorentzian emission intensity on a wavelength grid.
 
     Lines sit at Re(E_k) with FWHM 2|Im E_k|; amplitudes are the squared
     coefficients of the exciton start |e,0> in the eigenbasis of the mode
     matrix.  Normalized to unit area over the grid.
     """
-    from .specfit import Spectrum
-    from .units import HC_UEV_NM
-
     lam = np.asarray(wavelength_grid_nm, dtype=float)
     if lam.ndim != 1 or len(lam) < 3:
         raise ValueError("wavelength grid must be 1-D with >= 3 points")
@@ -209,4 +221,4 @@ def model_spectrum(p: SystemParams, wavelength_grid_nm):
     area = np.trapezoid(intensity, lam)
     if area <= 0:
         raise ValueError("grid does not cover the branch centers")
-    return Spectrum(wavelength_nm=lam, intensity=intensity / area)
+    return intensity / area

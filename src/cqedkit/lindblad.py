@@ -1,14 +1,15 @@
 """Dense Lindblad master equation for the driven Jaynes-Cummings system.
 
 Hilbert space: two-level exciton (g, e) tensor truncated Fock space of the
-cavity mode.  Energies in ueV, times in ps, rates in 1/ps.  The Liouvillian
-is diagonalized once per `cw_g2` call; the steady state and the two-time
-correlation (quantum regression) reuse the same eigendecomposition.
+cavity mode.  The device is a `coupled.SystemParams`, whose pump_x,
+feed_c and transfer rates set the pump and feeding channels; cw_g2 is
+the only reader of pump_x and feed_c.  Energies in ueV, times in ps,
+rates in 1/ps.  The Liouvillian is diagonalized once per `cw_g2` call;
+the steady state and the two-time correlation (quantum regression)
+reuse the same eigendecomposition.
 Dimensions are tiny (a handful of excitations), so dense linear algebra
 is the accuracy-first choice.
 """
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .coupled import SystemParams
@@ -16,42 +17,6 @@ from .errors import ConvergenceError, CutoffError
 from .units import HBAR_UEV_PS
 
 _CUTOFF_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class LindbladModel:
-    """Jaynes-Cummings system with decay, pump and feeding channels.
-
-    e_x, e_c, g, gamma_x, gamma_c in ueV.  pump_x (incoherent exciton
-    pump), feed_c (Poissonian photon injection into the cavity) and
-    transfer (phenomenological exciton -> cavity-photon feeding) are
-    rates in 1/ps.
-    """
-
-    e_x: float
-    e_c: float
-    g: float
-    gamma_x: float
-    gamma_c: float
-    pump_x: float = 0.0
-    feed_c: float = 0.0
-    transfer: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma_x <= 0 or self.gamma_c <= 0:
-            raise ValueError("gamma_x, gamma_c must be > 0")
-        for name in ("pump_x", "feed_c", "transfer"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.g < 0:
-            raise ValueError("g must be >= 0")
-
-    def with_rates(self, **rates) -> "LindbladModel":
-        return replace(self, **rates)
-
-    @property
-    def system(self) -> SystemParams:
-        return SystemParams(self.e_x, self.e_c, self.gamma_x, self.gamma_c, self.g)
 
 
 class Operators:
@@ -81,12 +46,12 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def hamiltonian(model: LindbladModel, ops: Operators) -> np.ndarray:
+def hamiltonian(model: SystemParams, ops: Operators) -> np.ndarray:
     return (model.e_x * ops.num_x + model.e_c * ops.num_c
             + model.g * (ops.ad @ ops.sm + ops.sp @ ops.a))
 
 
-def jump_channels(model: LindbladModel, ops: Operators) -> list[tuple[str, float, np.ndarray]]:
+def jump_channels(model: SystemParams, ops: Operators) -> list[tuple[str, float, np.ndarray]]:
     """(tag, rate 1/ps, operator) triples; zero-rate channels omitted."""
     channels = [
         ("C", model.gamma_c / HBAR_UEV_PS, ops.a),
@@ -101,7 +66,7 @@ def jump_channels(model: LindbladModel, ops: Operators) -> list[tuple[str, float
     return channels
 
 
-def liouvillian(model: LindbladModel, ops: Operators) -> np.ndarray:
+def liouvillian(model: SystemParams, ops: Operators) -> np.ndarray:
     """Dense Liouvillian on column-stacked density matrices, units 1/ps."""
     dim = ops.dim
     ident = np.eye(dim)
@@ -123,7 +88,7 @@ def _channel_operator(ops: Operators, channel: str) -> np.ndarray:
     raise ValueError(f"unknown channel {channel!r}")
 
 
-def cw_g2(model: LindbladModel, tau_grid, channel: str = "C",
+def cw_g2(model: SystemParams, tau_grid, channel: str = "C",
           n_max: int = 2) -> np.ndarray:
     """Normalized g2(tau) of a channel's steady-state emission.
 

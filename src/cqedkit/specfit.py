@@ -17,7 +17,7 @@ below, crossing at a resonance temperature given per call.
 """
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -686,9 +686,8 @@ def tuned_system(p: coupled.SystemParams, temperature: float,
                  resonance_temp: float = 10.5) -> coupled.SystemParams:
     """p with its exciton and cavity lines tuned to a temperature in K."""
     lam_x, lam_c = temperature_tuning(temperature, resonance_temp)
-    return coupled.SystemParams(wavelength_to_energy(lam_x),
-                                wavelength_to_energy(lam_c),
-                                p.gamma_x, p.gamma_c, p.g)
+    return replace(p, e_x=wavelength_to_energy(lam_x),
+                   e_c=wavelength_to_energy(lam_c))
 
 
 def synthetic_anticrossing(p: coupled.SystemParams, temperatures,
@@ -705,7 +704,7 @@ def synthetic_anticrossing(p: coupled.SystemParams, temperatures,
         pair = coupled.eigen_energies(pt)
         mid = HC_UEV_NM / (0.5 * (pair.upper.real + pair.lower.real))
         lam = mid + np.arange(-30, 31) * 0.03
-        clean = coupled.model_spectrum(pt, lam).intensity
+        clean = coupled.model_spectrum(pt, lam)
         y = np.maximum(clean * (1 + 0.05 * rng.standard_normal(lam.size)), 0.0)
         spectra.append(Spectrum(lam, y, temperature=float(t)))
     return spectra

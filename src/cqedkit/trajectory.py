@@ -2,7 +2,9 @@
 
 Physics: after each excitation the system lives in the single-excitation
 manifold span{|e,0>, |g,1>} and evolves under the non-Hermitian 2x2
-effective Hamiltonian until a jump.  Jump channels: exciton leaky decay
+effective Hamiltonian until a jump: the device's `coupled.mode_matrix` in
+the cavity frame, its exciton linewidth widened by the transfer rate of
+the `coupled.SystemParams`.  Jump channels: exciton leaky decay
 (click on X), cavity decay (click on C) and the phenomenological
 exciton-to-cavity-photon transfer (no click; the excitation continues as
 a cavity photon and leaves through C).  Jump times are sampled exactly by
@@ -31,12 +33,12 @@ Seeding: a master numpy SeedSequence is split into fixed-order children
 (pulse physics, background, darks, detector), so streams are bit-exact
 reproducible from (config, seed) regardless of how analysis code threads.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .coupled import SystemParams, mode_matrix
 from .errors import ConfigError, DurationError, InsufficientStatisticsError
-from .lindblad import LindbladModel
 from .units import HBAR_UEV_PS
 
 PUMP_MODES = ("resonant_pulsed", "resonant_cw")
@@ -136,16 +138,15 @@ class ClickStream:
 class SingleExcitationPropagator:
     """Closed-form non-Hermitian evolution in span{|e,0>, |g,1>}."""
 
-    def __init__(self, model: LindbladModel):
+    def __init__(self, model: SystemParams):
         self.rate_x = model.gamma_x / HBAR_UEV_PS
         self.rate_c = model.gamma_c / HBAR_UEV_PS
         self.rate_t = model.transfer
-        delta = model.e_x - model.e_c
-        heff = np.array(
-            [[delta - 0.5j * (model.gamma_x + HBAR_UEV_PS * self.rate_t), model.g],
-             [model.g, -0.5j * model.gamma_c]],
-            dtype=complex,
-        )
+        # the mode matrix in the frame of the cavity, with the transfer
+        # channel widening the exciton line
+        heff = mode_matrix(replace(
+            model, e_x=model.e_x - model.e_c, e_c=0.0,
+            gamma_x=model.gamma_x + HBAR_UEV_PS * model.transfer))
         self.evals, self.evecs = np.linalg.eig(heff)
         self.coeff0 = np.linalg.solve(self.evecs, np.array([1.0, 0.0]))
         slowest = 2.0 * np.abs(self.evals.imag).min() / HBAR_UEV_PS
@@ -154,8 +155,10 @@ class SingleExcitationPropagator:
         surv = self.survival(np.arange(_TABLE_POINTS) * self._t_step)
         # -log S, nondecreasing, then NaN, which ends every guide walk: no
         # target, +inf included, is at or above it, and searchsorted
-        # places it last
-        table = -np.log(surv)
+        # places it last.  S underflows to 0, and -log S is +inf, where a
+        # device's fast branch carries all of |e,0> (a vast gamma_x)
+        with np.errstate(divide="ignore"):
+            table = -np.log(surv)
         self._neg_log_s = np.append(table, np.nan)
         # guide cells: _TABLE_POINTS - 1 equal ones from table[0] to
         # -log(_MIN_U), the largest target a draw gives, and one more for
@@ -399,7 +402,7 @@ def _apply_detector(times, det, rng, duration):
     return times
 
 
-def simulate_stream(model: LindbladModel, pump: PumpSchedule,
+def simulate_stream(model: SystemParams, pump: PumpSchedule,
                     det: DetectorModel, duration: float, seed: int,
                     config_hash: str = "") -> ClickStream:
     """Generate a detector-level click stream; bit-exact for fixed seed."""

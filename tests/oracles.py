@@ -15,13 +15,8 @@ from cqedkit.coupled import SystemParams
 from cqedkit.errors import (ConvergenceError, CutoffError,
                             InsufficientStatisticsError)
 from cqedkit.hbt import G2Estimate
-from cqedkit.lindblad import (_CUTOFF_TOL, LindbladModel, Operators, _unvec,
-                              _vec, liouvillian)
+from cqedkit.lindblad import _CUTOFF_TOL, Operators, _unvec, _vec, liouvillian
 from cqedkit.trajectory import _MIN_U, SingleExcitationPropagator
-
-
-def model_from_system(p: SystemParams, **rates) -> LindbladModel:
-    return LindbladModel(p.e_x, p.e_c, p.g, p.gamma_x, p.gamma_c, **rates)
 
 
 def exciton_excited(ops: Operators) -> np.ndarray:
@@ -32,7 +27,7 @@ def exciton_excited(ops: Operators) -> np.ndarray:
     return rho
 
 
-def _eig(model: LindbladModel, n_max: int):
+def _eig(model: SystemParams, n_max: int):
     """(operators, eigenvalues, eigenvectors) of one (model, cutoff)
     Liouvillian."""
     ops = Operators(n_max)
@@ -49,7 +44,7 @@ def _check_cutoff(rho: np.ndarray, ops: Operators):
             f"population {top:.2e} at Fock cutoff n_max={ops.n_max}; increase n_max")
 
 
-def evolve(model: LindbladModel, rho0: np.ndarray, t_grid,
+def evolve(model: SystemParams, rho0: np.ndarray, t_grid,
            n_max: int = 2) -> np.ndarray:
     """Propagate rho0 over t_grid; returns an array of density matrices.
 
@@ -74,7 +69,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_grid,
     return out
 
 
-def steady_state(model: LindbladModel, n_max: int = 2) -> np.ndarray:
+def steady_state(model: SystemParams, n_max: int = 2) -> np.ndarray:
     """Steady density matrix (needs a pump so the state is not trivial)."""
     ops, evals, evecs = _eig(model, n_max)
     idx = np.argmin(np.abs(evals))
@@ -93,13 +88,13 @@ def excited_population(rhos: np.ndarray, n_max: int) -> np.ndarray:
     return np.einsum("tij,ji->t", rhos, ops.num_x).real
 
 
-def liouvillian_decay_rates(model: LindbladModel, n_max: int = 1) -> np.ndarray:
+def liouvillian_decay_rates(model: SystemParams, n_max: int = 1) -> np.ndarray:
     """Sorted decay rates (-Re eigenvalues) of the Liouvillian, 1/ps."""
     _, evals, _ = _eig(model, n_max)
     return np.sort(-evals.real)
 
 
-def branching_fractions(model: LindbladModel) -> dict[str, float]:
+def branching_fractions(model: SystemParams) -> dict[str, float]:
     """Exact P(photon exits via C) / P(via X) for one excitation.
 
     Integrates the closed-form manifold amplitudes; transfer jumps count
@@ -116,7 +111,7 @@ def branching_fractions(model: LindbladModel) -> dict[str, float]:
     return {"C": p_c / total, "X": p_x / total}
 
 
-def average_excited_population(model: LindbladModel, t_grid, n_traj: int,
+def average_excited_population(model: SystemParams, t_grid, n_traj: int,
                                seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Trajectory-averaged exciton population from |e,0> and its SE.
 

@@ -22,7 +22,7 @@ def test_eigen_report(capsys):
     code, out, _ = run(capsys, "eigen")
     assert code == 0
     rep = clickio.parse_report(out)
-    p = config.build_system(config.DEFAULT_CONFIG)
+    p = config.build_model(config.DEFAULT_CONFIG)
     assert float(rep["splitting_ueV"]) == coupled.vacuum_rabi_splitting(p)
     assert rep["strong_coupling"] == "True"
     fom = coupled.figures_of_merit(p.g, p.gamma_c, p.gamma_x)
@@ -46,7 +46,7 @@ def test_sweep_csv(tmp_path, capsys):
     # first row bit-matches the direct computation
     t, lam_u, lam_l, w_u, w_l = (float(v) for v in lines[2].split(","))
     assert t == 8.0
-    p = config.build_system(config.DEFAULT_CONFIG)
+    p = config.build_model(config.DEFAULT_CONFIG)
     lam_x, lam_c = specfit.temperature_tuning(8.0)
     pair = coupled.eigen_energies(coupled.SystemParams(
         wavelength_to_energy(lam_x), wavelength_to_energy(lam_c),
@@ -270,11 +270,11 @@ def _spectrum_bytes(lam, y, head=b"wavelength_nm,intensity\n"):
 
 def _two_line_spectrum():
     """61 samples 0.03 nm apart of the default device at resonance."""
-    pt = specfit.tuned_system(config.build_system(config.DEFAULT_CONFIG), 10.5)
+    pt = specfit.tuned_system(config.build_model(config.DEFAULT_CONFIG), 10.5)
     pair = coupled.eigen_energies(pt)
     mid = HC_UEV_NM / (0.5 * (pair.upper.real + pair.lower.real))
     lam = mid + np.arange(-30, 31) * 0.03
-    return lam, coupled.model_spectrum(pt, lam).intensity
+    return lam, coupled.model_spectrum(pt, lam)
 
 
 NOISE_FLAG = ("--noise-fraction", "0.05")
@@ -695,7 +695,7 @@ def write_series(directory, temps, noise=0.0):
     """Model spectra of the default device tuned to each temperature, as
     tagged spectrum files, with multiplicative Gaussian noise of the given
     fraction (one value, or one per temperature)."""
-    p = config.build_system(config.DEFAULT_CONFIG)
+    p = config.build_model(config.DEFAULT_CONFIG)
     rng = np.random.default_rng(0)
     files = []
     for t, frac in zip(temps, np.broadcast_to(noise, len(temps))):
@@ -703,7 +703,7 @@ def write_series(directory, temps, noise=0.0):
         pair = coupled.eigen_energies(pt)
         mid = HC_UEV_NM / (0.5 * (pair.upper.real + pair.lower.real))
         grid = mid + np.arange(-40, 41) * 0.02
-        y = coupled.model_spectrum(pt, grid).intensity
+        y = coupled.model_spectrum(pt, grid)
         if frac:
             y = np.maximum(y * (1 + frac * rng.standard_normal(y.size)), 0.0)
         path = directory / f"spec_{t:.1f}.csv"

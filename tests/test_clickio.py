@@ -42,12 +42,19 @@ def test_read_rejects_foreign_file(tmp_path):
 
 
 def test_single_click_stream(tmp_path):
-    path = tmp_path / "one.csv"
-    s = ClickStream(times=np.array([5.0]), channels=np.array(["X"]),
-                    duration=10.0, seed=0, config_hash="00")
-    clickio.write_click_stream(path, s)
-    back = clickio.read_click_stream(path)
-    assert len(back) == 1 and back.channels[0] == "X"
+    for n, channel in enumerate(["X", "Y", "\u00e9"]):
+        path = tmp_path / f"one{n}.csv"
+        s = ClickStream(times=np.array([5.0]), channels=np.array([channel]),
+                        duration=10.0, seed=0, config_hash="00")
+        if channel not in clickio.CLICK_CHANNELS:
+            # the reader refuses such a file, so none is written
+            with pytest.raises(ValueError, match=f"channel '{channel}'"):
+                clickio.write_click_stream(path, s)
+            assert not path.exists()
+            continue
+        clickio.write_click_stream(path, s)
+        back = clickio.read_click_stream(path)
+        assert len(back) == 1 and back.channels[0] == channel
 
 
 def test_histogram_file_layout(tmp_path):

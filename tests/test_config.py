@@ -6,14 +6,13 @@ import pytest
 from cqedkit import cli, config
 from cqedkit.coupled import SystemParams
 from cqedkit.errors import ConfigError
-from cqedkit.lindblad import LindbladModel
 from cqedkit.trajectory import DetectorModel, PumpSchedule
 
 
 def test_presets_validate():
     for name, cfg in config.PRESETS.items():
         assert config.validate_config(cfg) is cfg
-        assert isinstance(config.build_model(cfg), LindbladModel)
+        assert isinstance(config.build_model(cfg), SystemParams)
         assert isinstance(config.build_pump(cfg), PumpSchedule)
         assert isinstance(config.build_detectors(cfg), DetectorModel)
 
@@ -69,10 +68,9 @@ def test_load_config_roundtrip(tmp_path):
 
 def test_builders_map_fields():
     cfg = copy.deepcopy(config.FIG4_DETUNED_CONFIG)
-    system = config.build_system(cfg)
-    assert isinstance(system, SystemParams)
-    assert system.e_c - system.e_x == pytest.approx(config.DETUNING_04NM_UEV)
     model = config.build_model(cfg)
+    assert isinstance(model, SystemParams)
+    assert model.e_c - model.e_x == pytest.approx(config.DETUNING_04NM_UEV)
     assert model.transfer == config.TRANSFER_RATE
     pump = config.build_pump(cfg)
     assert pump.reservoir_mean == config.RESERVOIR_MEAN
@@ -97,6 +95,8 @@ def test_preset_hashes_are_stable():
 
 
 DELETE = object()
+#: the device's energies, linewidths and coupling in ueV
+DEVICE_UEV_KEYS = ("e_x", "e_c", "g", "gamma_x", "gamma_c")
 
 BAD_CONFIGS = [
     # (keys to the field, value or DELETE, field named, text in the message)
@@ -139,6 +139,11 @@ BAD_CONFIGS = [
     for section, key in (("device", "g"), ("pump", "rep_period"),
                          ("detectors", "dark_count_rate"))
     for value in (float("nan"), float("inf"), float("-inf"))
+] + [
+    # the closed-form mode energies would overflow
+    pytest.param(("device", key), 1e300, f"device.{key}", "at most",
+                 id=f"device_{key}_1e300")
+    for key in DEVICE_UEV_KEYS
 ]
 
 
@@ -162,6 +167,42 @@ def test_bad_config_file_exits_2_naming_the_field(tmp_path, capsys, keys,
     assert out == ""
     assert err.startswith(f"error: config field {field}: ")
     assert err.count("\n") == 1 and text in err
+
+
+def run_with_device_value(tmp_path, capsys, command, key, value):
+    cfg = copy.deepcopy(config.DEFAULT_CONFIG)
+    cfg["device"][key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["--out-dir", str(tmp_path / "out"), *command,
+                     "--config", str(path)])
+    return (code, *capsys.readouterr())
+
+
+COMMANDS = [pytest.param(["eigen"], id="eigen"),
+            pytest.param(["sweep"], id="sweep"),
+            pytest.param(["simulate", "--pulses", "2000"], id="simulate")]
+
+
+@pytest.mark.parametrize("command", COMMANDS[1:])
+@pytest.mark.parametrize("key", DEVICE_UEV_KEYS)
+def test_huge_device_value_exits_2_in_sweep_and_simulate(tmp_path, capsys,
+                                                         command, key):
+    code, out, err = run_with_device_value(tmp_path, capsys, command, key,
+                                           1e160)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"error: config field device.{key}: must be at "
+                          f"most ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key", DEVICE_UEV_KEYS)
+def test_device_value_at_the_bound_runs(tmp_path, capsys, command, key):
+    code, _, err = run_with_device_value(tmp_path, capsys, command, key,
+                                         config.MAX_DEVICE_UEV)
+    assert (code, err) == (0, "")
 
 
 def test_seed_override_is_validated(tmp_path, capsys):

@@ -174,24 +174,24 @@ def test_model_spectrum_shapes():
     e_c = wavelength_to_energy(936.35)
     # g = 0: single line at the exciton energy
     p0 = coupled.SystemParams(e_c, e_c, GX, 85.0, 0.0)
-    s = coupled.model_spectrum(p0, lam_grid)
-    peak_lam = s.wavelength_nm[np.argmax(s.intensity)]
+    y = coupled.model_spectrum(p0, lam_grid)
+    peak_lam = lam_grid[np.argmax(y)]
     assert peak_lam == pytest.approx(936.35, abs=0.01)
-    assert np.trapezoid(s.intensity, s.wavelength_nm) == pytest.approx(1.0, abs=1e-6)
+    assert np.trapezoid(y, lam_grid) == pytest.approx(1.0, abs=1e-6)
     # resonance: double peak with a dip below 80% of the maxima
     p = coupled.SystemParams(e_c, e_c, GX, 85.0, 35.0)
     lam_fine = np.linspace(936.0, 936.7, 4001)
-    s = coupled.model_spectrum(p, lam_fine)
-    e = wavelength_to_energy(936.35)
-    mid = np.argmin(np.abs(s.wavelength_nm - 936.35))
-    assert s.intensity[mid] < 0.8 * s.intensity.max()
+    y = coupled.model_spectrum(p, lam_fine)
+    mid = np.argmin(np.abs(lam_fine - 936.35))
+    assert y[mid] < 0.8 * y.max()
 
 
 def test_detuning_property_not_stored():
-    p = coupled.SystemParams(110.0, 10.0, 1.0, 85.0, 35.0)
+    p = coupled.SystemParams(110.0, 10.0, 1.0, 85.0, 35.0, transfer=2e-3)
     assert p.detuning == 100.0
     assert p.at_detuning(-50.0).detuning == -50.0
     assert p.at_detuning(-50.0).e_c == p.e_c
+    assert p.at_detuning(-50.0).transfer == p.transfer
 
 
 def test_invalid_params_rejected():

@@ -3,15 +3,15 @@ import pytest
 
 import oracles
 from cqedkit import hbt
+from cqedkit.coupled import SystemParams
 from cqedkit.errors import (InsufficientStatisticsError, MiscalibrationError,
                             NoSignalError)
-from cqedkit.lindblad import LindbladModel
 from cqedkit.trajectory import DetectorModel, PumpSchedule, simulate_stream
 from cqedkit.units import HBAR_UEV_PS
 
 REP = 13000.0
 GX = HBAR_UEV_PS / 700.0
-MODEL = LindbladModel(e_x=0.0, e_c=0.0, g=35.0, gamma_x=GX, gamma_c=85.0)
+MODEL = SystemParams(e_x=0.0, e_c=0.0, g=35.0, gamma_x=GX, gamma_c=85.0)
 
 
 def brute_force_histogram(a, b, window, bin_width, auto):

@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
 from cqedkit import coupled, lindblad
+from cqedkit.coupled import SystemParams
 from cqedkit.errors import CutoffError
-from cqedkit.lindblad import LindbladModel, Operators
+from cqedkit.lindblad import Operators
 from cqedkit.units import HBAR_UEV_PS
 
 GX = HBAR_UEV_PS / 700.0
 
-PAPER = LindbladModel(e_x=0.0, e_c=0.0, g=35.0, gamma_x=GX, gamma_c=85.0)
+PAPER = SystemParams(e_x=0.0, e_c=0.0, g=35.0, gamma_x=GX, gamma_c=85.0)
 
 
 def test_trace_preserved_and_hermitian():
@@ -23,7 +26,7 @@ def test_trace_preserved_and_hermitian():
 
 
 def test_decoupled_exciton_decays_exponentially():
-    model = LindbladModel(0.0, 0.0, g=0.0, gamma_x=GX, gamma_c=85.0)
+    model = SystemParams(0.0, 0.0, g=0.0, gamma_x=GX, gamma_c=85.0)
     ops = Operators(1)
     t_grid = np.linspace(10.0, 2000.0, 30)
     rhos = oracles.evolve(model, oracles.exciton_excited(ops), t_grid, n_max=1)
@@ -33,7 +36,7 @@ def test_decoupled_exciton_decays_exponentially():
 
 def test_lossless_rabi_period():
     # near-lossless: full population return after pi*hbar/g
-    model = LindbladModel(0.0, 0.0, g=35.0, gamma_x=1e-6, gamma_c=1e-6)
+    model = SystemParams(0.0, 0.0, g=35.0, gamma_x=1e-6, gamma_c=1e-6)
     period = np.pi * HBAR_UEV_PS / 35.0
     ops = Operators(2)
     t_grid = np.array([period / 2, period])
@@ -47,7 +50,7 @@ def test_resonant_envelope_lifetime():
     # oscillation envelope decays with tau = 2*hbar/(gamma_c + gamma_x);
     # sampling one oscillation period apart cancels the periodic factor
     tau_env = 2 * HBAR_UEV_PS / (85.0 + GX)
-    pair = coupled.eigen_energies(PAPER.system)
+    pair = coupled.eigen_energies(PAPER)
     period = 2 * np.pi * HBAR_UEV_PS / (pair.upper.real - pair.lower.real)
     ops = Operators(2)
     t_grid = np.array([period, 2 * period])
@@ -67,8 +70,7 @@ def test_liouvillian_rates_match_eigenvalues():
             gamma_x=rng.uniform(0.5, 30), gamma_c=rng.uniform(5, 150),
             g=rng.uniform(0, 60))
         pair = coupled.eigen_energies(p)
-        rates = oracles.liouvillian_decay_rates(
-            oracles.model_from_system(p), n_max=1)
+        rates = oracles.liouvillian_decay_rates(p, n_max=1)
         for mode in (pair.upper, pair.lower):
             expect = 2 * abs(mode.imag) / HBAR_UEV_PS
             assert np.min(np.abs(rates - expect)) < 1e-6 * max(expect, 1e-3)
@@ -84,13 +86,13 @@ def test_cutoff_convergence():
 
 
 def test_cutoff_overflow_detected():
-    strongly_fed = PAPER.with_rates(pump_x=1e-4, feed_c=0.5)
+    strongly_fed = replace(PAPER, pump_x=1e-4, feed_c=0.5)
     with pytest.raises(CutoffError, match="population 7.93e-01"):
         lindblad.cw_g2(strongly_fed, np.array([0.0]), n_max=1)
 
 
 def test_cw_g2_two_level_channel_antibunched():
-    model = PAPER.with_rates(pump_x=1e-4)
+    model = replace(PAPER, pump_x=1e-4)
     tau = np.array([0.0, 5.0, 2e4])
     g2x = lindblad.cw_g2(model, tau, channel="X", n_max=2)
     # a two-level emitter cannot hold two excitations: exact zero at tau=0
@@ -103,16 +105,16 @@ def test_cw_g2_two_level_channel_antibunched():
 
 def test_cw_g2_poisson_feed_bunching():
     # incoherent cavity feeding builds a thermal photon state: g2(0) = 2
-    model = LindbladModel(0.0, 0.0, g=0.0, gamma_x=GX, gamma_c=85.0,
-                          pump_x=1e-9, feed_c=1e-4)
+    model = SystemParams(0.0, 0.0, g=0.0, gamma_x=GX, gamma_c=85.0,
+                         pump_x=1e-9, feed_c=1e-4)
     g2 = lindblad.cw_g2(model, np.array([0.0]), channel="C", n_max=3)
     assert g2[0] == pytest.approx(2.0, abs=0.02)
 
 
 def test_invalid_model_rejected():
     with pytest.raises(ValueError):
-        LindbladModel(0.0, 0.0, g=35.0, gamma_x=-1.0, gamma_c=85.0)
+        SystemParams(0.0, 0.0, g=35.0, gamma_x=-1.0, gamma_c=85.0)
     with pytest.raises(ValueError):
-        LindbladModel(0.0, 0.0, g=35.0, gamma_x=GX, gamma_c=85.0, pump_x=-1e-3)
+        SystemParams(0.0, 0.0, g=35.0, gamma_x=GX, gamma_c=85.0, pump_x=-1e-3)
     with pytest.raises(ValueError):
         lindblad.cw_g2(PAPER, np.array([0.0]))  # no pump, no steady state

@@ -446,7 +446,7 @@ def resonant_doublet():
     e_res = wavelength_to_energy(936.35)
     p = coupled.SystemParams(e_res, e_res, GX, 85.0, 35.0)
     lam = 936.35 + np.arange(-30, 31) * 0.03
-    return Spectrum(lam, coupled.model_spectrum(p, lam).intensity)
+    return Spectrum(lam, coupled.model_spectrum(p, lam))
 
 
 def resonant_noisy_spectra():
@@ -601,7 +601,7 @@ def test_full_pipeline_noisy_series():
         mid = 0.5 * (energy_to_wavelength(pair.upper.real)
                      + energy_to_wavelength(pair.lower.real))
         lam = mid + np.arange(-30, 31) * 0.03
-        clean = coupled.model_spectrum(p, lam).intensity
+        clean = coupled.model_spectrum(p, lam)
         y = np.clip(clean * (1 + 0.05 * rng.standard_normal(len(lam))), 0, None)
         spectra.append(Spectrum(lam, y, temperature=t))
     series = fit_series(spectra, noise_fraction=0.05)

@@ -1,17 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
 from cqedkit import config, trajectory
+from cqedkit.coupled import SystemParams
 from cqedkit.errors import ConfigError, DurationError
-from cqedkit.lindblad import LindbladModel, Operators
+from cqedkit.lindblad import Operators
 from cqedkit.trajectory import (ClickStream, DetectorModel, PumpSchedule,
                                 SingleExcitationPropagator, simulate_stream)
 from cqedkit.units import HBAR_UEV_PS
 
 GX = HBAR_UEV_PS / 700.0
 
-MODEL = LindbladModel(e_x=0.0, e_c=0.0, g=35.0, gamma_x=GX, gamma_c=85.0)
+MODEL = SystemParams(e_x=0.0, e_c=0.0, g=35.0, gamma_x=GX, gamma_c=85.0)
 PUMP = PumpSchedule(mode="resonant_pulsed", rep_period=13000.0)
 IDEAL = DetectorModel()
 
@@ -58,10 +61,10 @@ def _bisect_jump_times(prop, u, iters=80):
 @pytest.mark.parametrize("model", [
     MODEL,
     config.build_model(config.FIG4_DETUNED_CONFIG),
-    MODEL.with_rates(transfer=2e-3),
+    replace(MODEL, transfer=2e-3),
     # deep Rabi plateaus in S: the hardest case for the table's Newton start
-    LindbladModel(e_x=0.0, e_c=0.0, g=300.0, gamma_x=GX, gamma_c=5.0),
-    LindbladModel(e_x=0.0, e_c=0.0, g=0.0, gamma_x=GX, gamma_c=85.0),
+    SystemParams(e_x=0.0, e_c=0.0, g=300.0, gamma_x=GX, gamma_c=5.0),
+    SystemParams(e_x=0.0, e_c=0.0, g=0.0, gamma_x=GX, gamma_c=85.0),
 ], ids=["resonant", "detuned-preset", "transfer", "deep-plateau", "uncoupled"])
 def test_jump_times_match_bisection(model):
     prop = SingleExcitationPropagator(model)
@@ -77,7 +80,7 @@ def test_jump_times_match_bisection(model):
 @pytest.mark.parametrize("model", [
     config.build_model(config.FIG4_DETUNED_CONFIG),
     config.build_model(config.FIG4_RESONANT_CONFIG),
-    MODEL.with_rates(transfer=2e-3),
+    replace(MODEL, transfer=2e-3),
     config.build_model(config.DEFAULT_CONFIG),
 ], ids=["detuned", "resonant", "transfer", "default-device"])
 def test_guide_table_finds_the_searchsorted_cell(model):
@@ -101,11 +104,11 @@ def test_guide_table_finds_the_searchsorted_cell(model):
 
 
 def test_branching_fractions_decoupled_limits():
-    pure_x = LindbladModel(0.0, 0.0, g=0.0, gamma_x=GX, gamma_c=85.0)
+    pure_x = SystemParams(0.0, 0.0, g=0.0, gamma_x=GX, gamma_c=85.0)
     frac = oracles.branching_fractions(pure_x)
     assert frac["X"] == pytest.approx(1.0, abs=1e-9)
     rate_t = 2e-3
-    fed = pure_x.with_rates(transfer=rate_t)
+    fed = replace(pure_x, transfer=rate_t)
     frac = oracles.branching_fractions(fed)
     expect_c = rate_t / (rate_t + GX / HBAR_UEV_PS)
     assert frac["C"] == pytest.approx(expect_c, rel=1e-4)
