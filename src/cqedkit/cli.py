@@ -11,6 +11,7 @@ numerical non-convergence, 4 insufficient statistics or a dark
 subtraction that contradicts the counts.
 """
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -136,8 +137,10 @@ def _click_stream(cfg: dict, pulses=None, duration=None):
             model, pump, det, pulses * pump.rep_period if pulses else duration,
             cfg.get("seed", 0), config_hash=cfgmod.config_hash(cfg))
     except DurationError as exc:
-        flag = f"--pulses {pulses}" if pulses else f"--duration {duration!r}"
-        raise ConfigError(f"{flag}: {exc}") from None
+        if pulses:
+            raise ConfigError(f"--pulses {pulses}: {exc} (pump.rep_period "
+                              f"{pump.rep_period!r} ps)") from None
+        raise ConfigError(f"--duration {duration!r}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -365,7 +368,10 @@ def _number(kind=float, allow_zero=False):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each parse_args call
+    starts from a fresh namespace, so no call's flags reach the next."""
     ap = argparse.ArgumentParser(
         prog="cqedkit",
         description="Coupled quantum dot-cavity simulation and analysis")

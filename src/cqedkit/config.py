@@ -7,9 +7,10 @@ ranges, so an unknown key is rejected rather than silently falling back
 to a default; so is device.pump_x or feed_c, SystemParams rates that
 only lindblad.cw_g2 reads and no command takes from a config.  A device
 energy, linewidth or coupling above MAX_DEVICE_UEV is refused too: the
-closed-form mode energies square it.  Every output embeds the sha256
-hash of the canonical (sorted, minimal) JSON encoding, making runs
-reproducible from the config alone.
+closed-form mode energies square it; so is a linewidth so narrow that a
+figure of merit (cavity Q, g / gamma_c, Purcell factor) overflows.
+Every output embeds the sha256 hash of the canonical (sorted, minimal)
+JSON encoding, making runs reproducible from the config alone.
 The HBT analysis settings (bin width, window, side peaks) are not config:
 they are flags of the correlate command (cli.py).
 """
@@ -110,8 +111,8 @@ def validate_config(cfg: dict) -> dict:
     finite number.  Keys, required fields and ranges of the device, pump
     and detectors sections are checked by building their _SECTIONS
     classes; e_x, e_c must also be > 0, the device's values in ueV at
-    most MAX_DEVICE_UEV, and device.pump_x and feed_c, which no command
-    reads, must be absent.
+    most MAX_DEVICE_UEV, its figures of merit finite, and device.pump_x
+    and feed_c, which no command reads, must be absent.
     """
     if not isinstance(cfg, dict):
         raise _field_error("<root>", "expected an object")
@@ -142,12 +143,32 @@ def validate_config(cfg: dict) -> dict:
         if key in cfg["device"]:
             raise _field_error(f"device.{key}", "no command reads it from a "
                                "config; remove it")
+    built = {}
     for section, cls in _SECTIONS.items():
         try:
-            cls(**cfg.get(section, {}))
+            built[section] = cls(**cfg.get(section, {}))
         except (TypeError, ValueError, ConfigError) as exc:
             raise _field_error(section, exc) from None
+    _check_figures_of_merit(built["device"])
     return cfg
+
+
+def _check_figures_of_merit(p: SystemParams) -> None:
+    """ConfigError naming the linewidth that takes a figure of merit of
+    `eigen` beyond the float range: gamma_c if e_c / gamma_c (the cavity
+    Q) or g / gamma_c overflows, else the narrower line if the Purcell
+    factor 4 g^2 / (gamma_c gamma_x) does, its denominator underflowing
+    to 0 included (the quantum efficiency is then NaN)."""
+    width = p.gamma_c * p.gamma_x
+    if not math.isfinite(max(p.e_c, p.g) / p.gamma_c):
+        key, what = "gamma_c", "e_c / gamma_c or g / gamma_c"
+    elif not (width > 0 and math.isfinite(4.0 * p.g**2 / width)):
+        key = "gamma_x" if p.gamma_x <= p.gamma_c else "gamma_c"
+        what = "the Purcell factor 4 g^2 / (gamma_c gamma_x)"
+    else:
+        return
+    raise _field_error(f"device.{key}", f"{getattr(p, key)!r} ueV takes "
+                       f"{what} beyond the float range")
 
 
 def config_hash(cfg: dict) -> str:

@@ -691,7 +691,7 @@ def tuned_system(p: coupled.SystemParams, temperature: float,
 
 
 def synthetic_anticrossing(p: coupled.SystemParams, temperatures,
-                           rng: np.random.Generator) -> list[Spectrum]:
+                           rng: "np.random.Generator") -> list[Spectrum]:
     """Noisy model spectra of p tuned to each temperature, in order.
 
     Each spectrum has 61 points 0.03 nm apart, centred on the midpoint of

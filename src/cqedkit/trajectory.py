@@ -11,12 +11,17 @@ a cavity photon and leaves through C).  Jump times are sampled exactly by
 inverting the closed-form survival probability S(t) (the Monte Carlo
 wave-function method of Dalibard, Castin & Molmer, PRL 68, 580 (1992)),
 numerically as in Devroye, Non-Uniform Random Variate Generation (1986),
-ch. 2.  Each propagator tabulates log S once, on 16,385 uniform points
-over [0, t_max], with a guide table (Chen & Asau, AIIE Trans. 6, 163
-(1974); Devroye 1986, sec. III.2.4) of 16,384 equal cells in -log S, each
-holding the last table point below it, built by one count of the points
-per cell.  A draw's table cell is its guide entry, walked on while the
-next point is not above -log u, one vectorized compare a step.  A guide
+ch. 2.  The amplitudes are taken in the frame rotating at Re E_0, the
+energy of eigenmode 0: there mode 0 only decays, one real exponential,
+and mode 1 turns at (E_1 - Re E_0) / hbar, the one complex exponential
+per evaluated time.  The frame is a common phase, so |alpha|^2 and
+|beta|^2, all the sampler reads, are the lab frame's.  Each propagator
+tabulates log S once, on 16,385 uniform points over [0, t_max], with a
+guide table (Chen & Asau, AIIE Trans. 6, 163 (1974); Devroye 1986, sec.
+III.2.4) of 16,384 equal cells in -log S, each holding the last table
+point below it, built by one count of the points per cell.  A draw's
+table cell is its guide entry, walked on while the next point is not
+above -log u, one vectorized compare a step.  A guide
 cell holds at most 2 table points on the detuned preset and 38 on the
 default device, where 4.8% of draws land in a cell of more than 4.
 A draw u starts from linear interpolation in log S across its table cell,
@@ -147,9 +152,15 @@ class SingleExcitationPropagator:
         heff = mode_matrix(replace(
             model, e_x=model.e_x - model.e_c, e_c=0.0,
             gamma_x=model.gamma_x + HBAR_UEV_PS * model.transfer))
-        self.evals, self.evecs = np.linalg.eig(heff)
-        self.coeff0 = np.linalg.solve(self.evecs, np.array([1.0, 0.0]))
-        slowest = 2.0 * np.abs(self.evals.imag).min() / HBAR_UEV_PS
+        evals, evecs = np.linalg.eig(heff)
+        # |e,0> = sum_k coeff0_k v_k; mode k's share of alpha and beta
+        share = evecs * np.linalg.solve(evecs, np.array([1.0, 0.0]))
+        self._share_a, self._share_b = share
+        # in the frame rotating at Re E_0, mode 0 only decays, at rate
+        # -Im E_0 / hbar, and mode 1 turns at (E_1 - Re E_0) / hbar
+        self._decay0 = evals[0].imag / HBAR_UEV_PS
+        self._phase1 = -1j * (evals[1] - evals[0].real) / HBAR_UEV_PS
+        slowest = 2.0 * np.abs(evals.imag).min() / HBAR_UEV_PS
         self.t_max = 80.0 / slowest
         self._t_step = self.t_max / (_TABLE_POINTS - 1)
         surv = self.survival(np.arange(_TABLE_POINTS) * self._t_step)
@@ -199,19 +210,20 @@ class SingleExcitationPropagator:
         return np.minimum(k, _TABLE_POINTS - 2, out=k)
 
     def amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(alpha, beta) exciton/photon amplitudes at times t from |e,0>."""
-        # coeff0_k * exp(-i E_k t / hbar), one row per eigenmode, in place
-        p = np.outer(self.evals, t)
-        p *= -1j
-        p /= HBAR_UEV_PS
-        np.exp(p, out=p)
-        p *= self.coeff0[:, None]
-        # the 2x2 product by hand: an (n,2)@(2,2) matmul goes to threaded BLAS
-        v = self.evecs
-        alpha = p[0] * v[0, 0]
-        alpha += p[1] * v[0, 1]
-        beta = p[0] * v[1, 0]
-        beta += p[1] * v[1, 1]
+        """(alpha, beta) exciton/photon amplitudes at times t from |e,0>,
+        in the frame rotating at Re E_0: their phase is not the lab
+        frame's, their moduli are."""
+        # one real exponential for mode 0, one complex one for mode 1, in
+        # place; alpha takes over mode 1's array
+        decay = np.multiply(t, self._decay0)
+        np.exp(decay, out=decay)
+        turn = np.multiply(t, self._phase1)
+        np.exp(turn, out=turn)
+        share_a, share_b = self._share_a, self._share_b
+        beta = turn * share_b[1]
+        alpha = np.multiply(turn, share_a[1], out=turn)
+        alpha += decay * share_a[0]
+        beta += decay * share_b[0]
         return alpha, beta
 
     def survival(self, t: np.ndarray) -> np.ndarray:
@@ -261,7 +273,7 @@ class SingleExcitationPropagator:
                 target, cell = target[more], cell[more]
         return out
 
-    def sample_emissions(self, rng: np.random.Generator, n: int
+    def sample_emissions(self, rng: "np.random.Generator", n: int
                          ) -> tuple[np.ndarray, np.ndarray]:
         """Exact emission (delay_ps, channel) for n fresh excitations.
 
@@ -291,6 +303,11 @@ class SingleExcitationPropagator:
 #: 1,000 times a 100,000-pulse Fig. 4 run.  A run near it takes minutes
 #: and gigabytes.
 _MAX_EVENTS = 10 ** 8
+
+
+#: the longest run, in ps (about 15 minutes): a click file's times are
+#: tenths of a ps, which a float64 holds as integers up to 2**53
+_MAX_DURATION = 2.0 ** 53 / 10
 
 
 def _check_events(n: int, what: str, duration: float) -> None:
@@ -408,6 +425,10 @@ def simulate_stream(model: SystemParams, pump: PumpSchedule,
     """Generate a detector-level click stream; bit-exact for fixed seed."""
     if duration <= 0:
         raise ConfigError("duration must be positive")
+    # before the event checks, whose rates do not cause a vast duration
+    if duration > _MAX_DURATION:
+        raise DurationError(f"duration {duration!r} ps is longer than the "
+                            f"{_MAX_DURATION:.4g} ps one run may sample")
     _check_poisson("pump.background_feed_rate", pump.background_feed_rate,
                    duration, "ps", "background photons")
     _check_poisson("detectors.dark_count_rate", det.dark_count_rate,

@@ -95,6 +95,20 @@ def test_correlate_roundtrip(tmp_path, capsys):
     assert clickio.parse_report(out)["method"] == "pulsed_cross_peak_area"
 
 
+def test_main_builds_one_parser_and_carries_no_flag_over(tmp_path, capsys):
+    run(capsys, "--out-dir", str(tmp_path), "simulate", "--pulses", "4000")
+    argv = ("--out-dir", str(tmp_path), "correlate", str(tmp_path / "clicks.csv"))
+    cli.build_parser.cache_clear()
+    first = run(capsys, *argv)
+    first_hist = (tmp_path / "histogram.csv").read_bytes()
+    flagged = run(capsys, *argv, "--bin", "200", "--channels", "X,C",
+                  "--n-side", "3")
+    assert flagged[0] == 0 and flagged != first
+    assert run(capsys, *argv) == first
+    assert (tmp_path / "histogram.csv").read_bytes() == first_hist
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_correlate_insufficient_statistics(tmp_path, capsys):
     run(capsys, "--out-dir", str(tmp_path), "simulate", "--pulses", "1",
         "--name", "tiny.csv")
@@ -146,10 +160,24 @@ def test_correlate_window_too_small_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "histogram.csv").exists()
 
 
-def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+def fresh_interpreter_env():
+    """The environment of a fresh interpreter that imports this cqedkit."""
     src = os.path.dirname(os.path.dirname(cqedkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # fit, correlate, eigen and sweep draw no random number
+    code = "import sys, cqedkit.cli; sys.exit('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=fresh_interpreter_env(), capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+    env = fresh_interpreter_env()
     no_scipy = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
     spectra = write_series(tmp_path, np.arange(6.0, 16.1, 0.5))
     cases = [

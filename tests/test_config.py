@@ -140,6 +140,12 @@ BAD_CONFIGS = [
                          ("detectors", "dark_count_rate"))
     for value in (float("nan"), float("inf"), float("-inf"))
 ] + [
+    # a figure of merit that eigen would print as inf or nan
+    pytest.param(("device", "gamma_x"), 5e-324, "device.gamma_x",
+                 "Purcell factor", id="subnormal_gamma_x"),
+    pytest.param(("device", "gamma_c"), 5e-324, "device.gamma_c",
+                 "g / gamma_c", id="subnormal_gamma_c"),
+] + [
     # the closed-form mode energies would overflow
     pytest.param(("device", key), 1e300, f"device.{key}", "at most",
                  id=f"device_{key}_1e300")
@@ -169,9 +175,9 @@ def test_bad_config_file_exits_2_naming_the_field(tmp_path, capsys, keys,
     assert err.count("\n") == 1 and text in err
 
 
-def run_with_device_value(tmp_path, capsys, command, key, value):
+def run_with_device_values(tmp_path, capsys, command, **values):
     cfg = copy.deepcopy(config.DEFAULT_CONFIG)
-    cfg["device"][key] = value
+    cfg["device"].update(values)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     code = cli.main(["--out-dir", str(tmp_path / "out"), *command,
@@ -188,8 +194,8 @@ COMMANDS = [pytest.param(["eigen"], id="eigen"),
 @pytest.mark.parametrize("key", DEVICE_UEV_KEYS)
 def test_huge_device_value_exits_2_in_sweep_and_simulate(tmp_path, capsys,
                                                          command, key):
-    code, out, err = run_with_device_value(tmp_path, capsys, command, key,
-                                           1e160)
+    code, out, err = run_with_device_values(tmp_path, capsys, command,
+                                            **{key: 1e160})
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith(f"error: config field device.{key}: must be at "
@@ -200,9 +206,41 @@ def test_huge_device_value_exits_2_in_sweep_and_simulate(tmp_path, capsys,
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("key", DEVICE_UEV_KEYS)
 def test_device_value_at_the_bound_runs(tmp_path, capsys, command, key):
-    code, _, err = run_with_device_value(tmp_path, capsys, command, key,
-                                         config.MAX_DEVICE_UEV)
+    code, _, err = run_with_device_values(tmp_path, capsys, command,
+                                          **{key: config.MAX_DEVICE_UEV})
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_lines_whose_purcell_product_underflows_exit_2(tmp_path, capsys,
+                                                       command):
+    # gamma_c * gamma_x is 0: the Purcell factor divided by it
+    code, out, err = run_with_device_values(tmp_path, capsys, command,
+                                            gamma_x=1e-200, gamma_c=1e-200)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: config field device.gamma_x: 1e-200 ueV ")
+    assert err.count("\n") == 1 and "Purcell factor" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_vast_pulse_period_is_named_before_the_event_rates(tmp_path, capsys):
+    # 2000 pulses of 1e300 ps: the duration, not the background rate
+    # that meets it, is refused
+    cfg = copy.deepcopy(config.FIG4_DETUNED_CONFIG)
+    cfg["pump"]["rep_period"] = 1e300
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["--out-dir", str(tmp_path), "simulate", "--config",
+                     str(path), "--pulses", "2000"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: --pulses 2000: duration 2e+303 ps is "
+                          "longer than ")
+    assert err.count("\n") == 1 and "(pump.rep_period 1e+300 ps)" in err
+    assert "background_feed_rate" not in err
+    assert not (tmp_path / "clicks.csv").exists()
 
 
 def test_seed_override_is_validated(tmp_path, capsys):

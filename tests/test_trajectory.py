@@ -58,14 +58,47 @@ def _bisect_jump_times(prop, u, iters=80):
     return 0.5 * (lo + hi)
 
 
-@pytest.mark.parametrize("model", [
-    MODEL,
-    config.build_model(config.FIG4_DETUNED_CONFIG),
-    replace(MODEL, transfer=2e-3),
+#: the resonant exceptional point: both modes share one energy and one
+#: linewidth, and the mode matrix has a single eigenvector
+G_EP = (MODEL.gamma_c - MODEL.gamma_x) / 4.0
+JUMP_MODELS = [
+    pytest.param(MODEL, id="resonant"),
+    pytest.param(config.build_model(config.FIG4_DETUNED_CONFIG),
+                 id="detuned-preset"),
+    pytest.param(replace(MODEL, transfer=2e-3), id="transfer"),
     # deep Rabi plateaus in S: the hardest case for the table's Newton start
-    SystemParams(e_x=0.0, e_c=0.0, g=300.0, gamma_x=GX, gamma_c=5.0),
-    SystemParams(e_x=0.0, e_c=0.0, g=0.0, gamma_x=GX, gamma_c=85.0),
-], ids=["resonant", "detuned-preset", "transfer", "deep-plateau", "uncoupled"])
+    pytest.param(SystemParams(e_x=0.0, e_c=0.0, g=300.0, gamma_x=GX,
+                              gamma_c=5.0), id="deep-plateau"),
+    pytest.param(SystemParams(e_x=0.0, e_c=0.0, g=0.0, gamma_x=GX,
+                              gamma_c=85.0), id="uncoupled"),
+    pytest.param(replace(MODEL, g=G_EP * (1 + 1e-9)), id="near-ep"),
+    pytest.param(replace(MODEL, g=G_EP), id="at-ep"),
+]
+
+
+@pytest.mark.parametrize("model", JUMP_MODELS)
+def test_survival_matches_the_matrix_exponential(model):
+    # S(t) = |exp(-i H t / hbar) |e,0>|^2 with H the exciton-cavity matrix
+    # written out here, in the cavity frame (a common energy shift is a
+    # phase), its exciton line widened by the transfer rate
+    from scipy.linalg import expm
+    prop = SingleExcitationPropagator(model)
+    gamma_x = model.gamma_x + HBAR_UEV_PS * model.transfer
+    h = np.array([[model.e_x - model.e_c - 0.5j * gamma_x, model.g],
+                  [model.g, -0.5j * model.gamma_c]])
+    t = np.linspace(0.0, prop.t_max, 400)
+    want = np.array([np.sum(np.abs(expm(-1j * h * ti / HBAR_UEV_PS)[:, 0]) ** 2)
+                     for ti in t])
+    got = prop.survival(t)
+    # at the exceptional point eig's two eigenvectors differ by rounding
+    # alone, and the closed form cancels their large coefficients
+    rel = 1e-7 if model.g == G_EP else 1e-11
+    seen = want >= 1e-12
+    assert seen.sum() > 100
+    assert np.all(np.abs(got - want)[seen] <= rel * want[seen])
+
+
+@pytest.mark.parametrize("model", JUMP_MODELS)
 def test_jump_times_match_bisection(model):
     prop = SingleExcitationPropagator(model)
     rng = np.random.default_rng(0)
