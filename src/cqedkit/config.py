@@ -4,11 +4,10 @@ A run config is one JSON document with sections device / pump /
 detectors plus a seed.  The classes each section builds
 (coupled.SystemParams, PumpSchedule, DetectorModel) own its keys and
 ranges, so an unknown key is rejected rather than silently falling back
-to a default; so is device.pump_x or feed_c, SystemParams rates that
-only lindblad.cw_g2 reads and no command takes from a config.  A device
-energy, linewidth or coupling above MAX_DEVICE_UEV is refused too: the
-closed-form mode energies square it; so is a linewidth so narrow that a
-figure of merit (cavity Q, g / gamma_c, Purcell factor) overflows.
+to a default.  A device energy, linewidth or coupling above
+MAX_DEVICE_UEV is refused too: the closed-form mode energies square it;
+so is a linewidth so narrow that a figure of merit (cavity Q,
+g / gamma_c, Purcell factor) overflows.
 Every output embeds the sha256 hash of the canonical (sorted, minimal)
 JSON encoding, making runs reproducible from the config alone.
 The HBT analysis settings (bin width, window, side peaks) are not config:
@@ -87,8 +86,6 @@ PRESETS = {
 #: the config sections built into objects, and the classes that check them
 _SECTIONS = {"device": SystemParams, "pump": PumpSchedule,
             "detectors": DetectorModel}
-#: SystemParams rates of the master equation alone (lindblad.cw_g2)
-_UNREAD_DEVICE_KEYS = ("pump_x", "feed_c")
 #: the largest device energy, linewidth or coupling in ueV: the closed form
 #: (coupled._eigenvalues) squares differences of up to about 4.5 of them,
 #: which stay below the float range under this bound
@@ -111,8 +108,7 @@ def validate_config(cfg: dict) -> dict:
     finite number.  Keys, required fields and ranges of the device, pump
     and detectors sections are checked by building their _SECTIONS
     classes; e_x, e_c must also be > 0, the device's values in ueV at
-    most MAX_DEVICE_UEV, its figures of merit finite, and device.pump_x
-    and feed_c, which no command reads, must be absent.
+    most MAX_DEVICE_UEV and its figures of merit finite.
     """
     if not isinstance(cfg, dict):
         raise _field_error("<root>", "expected an object")
@@ -139,10 +135,6 @@ def validate_config(cfg: dict) -> dict:
         if cfg["device"].get(key, 0.0) > MAX_DEVICE_UEV:
             raise _field_error(f"device.{key}",
                                f"must be at most {MAX_DEVICE_UEV:.4g} ueV")
-    for key in _UNREAD_DEVICE_KEYS:
-        if key in cfg["device"]:
-            raise _field_error(f"device.{key}", "no command reads it from a "
-                               "config; remove it")
     built = {}
     for section, cls in _SECTIONS.items():
         try:

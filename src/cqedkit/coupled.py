@@ -27,12 +27,11 @@ from .units import HBAR_UEV_PS, HC_UEV_NM
 class SystemParams:
     """The exciton-cavity device.
 
-    Exciton/cavity centers, FWHM linewidths and coupling in ueV.  pump_x
-    (incoherent exciton pump), feed_c (Poissonian photon injection into
-    the cavity) and transfer (phenomenological exciton -> cavity-photon
-    feeding) are rates in 1/ps: the master equation (lindblad) reads all
-    three, the quantum-jump sampler (trajectory) reads transfer, and the
-    closed forms here read none.
+    Exciton/cavity centers, FWHM linewidths and coupling in ueV.
+    transfer (phenomenological exciton -> cavity-photon feeding) is a
+    rate in 1/ps: the master equation (lindblad) and the quantum-jump
+    sampler (trajectory) read it, the closed forms here do not.  The
+    pump is not the device's: it is a trajectory.PumpSchedule.
     """
 
     e_x: float
@@ -40,8 +39,6 @@ class SystemParams:
     gamma_x: float
     gamma_c: float
     g: float
-    pump_x: float = 0.0
-    feed_c: float = 0.0
     transfer: float = 0.0
 
     def __post_init__(self):
@@ -49,9 +46,8 @@ class SystemParams:
             raise ValueError("linewidths gamma_x, gamma_c must be > 0")
         if self.g < 0:
             raise ValueError("coupling g must be >= 0")
-        for name in ("pump_x", "feed_c", "transfer"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.transfer < 0:
+            raise ValueError("transfer must be >= 0")
 
     @property
     def detuning(self) -> float:

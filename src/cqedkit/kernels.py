@@ -50,13 +50,6 @@ the sources still in range are exactly i < n - 1 - s, and the step's
 delays are the lag slice t[s + 1:] - t[:n - 1 - s]: the same pairs and
 the same d = fl(t[j] - t[i]) as the gather, so the same bins.
 
-For one source the bin is monotone in its partner's position: the delay,
-the division and the truncation all are.  So the bins of the sources'
-first and last partners bound every bin of a walk.  They are checked
-once, before the walk, and the steps clip the bins into range only if
-that check finds one outside it, as a delay that rounds onto the window
-edge can.
-
 The autocorrelation walk bins each delay once.  The bin of +d is
 trunc(z) for z = fl(fl(edge + d) * inv), inv = fl(1 / bin_width), and
 that of -d is n_bins - 1 - trunc(z), as in exact arithmetic
@@ -241,17 +234,6 @@ def _walk(counts, t, oth, lo, span, signs, edge, bin_width, lags=0):
     t = t[order]
     np.take(lo, order, out=lo)  # buffered, so the aliasing is safe
     np.take(span, order, out=span)
-    # the bins of the first and last partners of the sources that have
-    # partners bound every bin of the walk
-    i = np.searchsorted(span, 0, side="right")
-    clip = False
-    if i < len(span):
-        first = oth[lo[i:]] - t[i:]
-        last = oth[lo[i:] + span[i:] - 1] - t[i:]
-        ends = [bins(d, sign) for d in (min(first.min(), last.min()),
-                                        max(first.max(), last.max()))
-                for sign in signs]
-        clip = min(ends) < 0 or max(ends) >= n_bins
 
     def delays(s, at=slice(None)):
         """The delays of step s, or those at the positions `at` of them."""
@@ -295,8 +277,8 @@ def _walk(counts, t, oth, lo, span, signs, edge, bin_width, lags=0):
             k = np.trunc(z)
             z -= k  # the fraction: < 0 or nan if z is negative or not finite
             k = k.astype(np.int64)
-            if clip:
-                np.minimum(k, n_bins - 1, out=k)
+            # a delay that rounds onto the window edge bins beyond it
+            np.minimum(k, n_bins - 1, out=k)
             if z.min() >= tol and z.max() <= 1 - tol:
                 plus += np.bincount(k, minlength=n_bins + 1)
                 continue
@@ -305,10 +287,8 @@ def _walk(counts, t, oth, lo, span, signs, edge, bin_width, lags=0):
             plus += np.bincount(k, minlength=n_bins + 1)
             d = delays(s, off)
         for sign in signs:
-            k = bins(d, sign)
-            if clip:
-                np.clip(k, 0, n_bins - 1, out=k)
-            counts += np.bincount(k, minlength=n_bins)
+            counts += np.bincount(np.clip(bins(d, sign), 0, n_bins - 1),
+                                  minlength=n_bins)
     counts += plus[:n_bins] + plus[n_bins - 1::-1]
 
 

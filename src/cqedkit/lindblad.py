@@ -1,12 +1,15 @@
 """Dense Lindblad master equation for the driven Jaynes-Cummings system.
 
 Hilbert space: two-level exciton (g, e) tensor truncated Fock space of the
-cavity mode.  The device is a `coupled.SystemParams`, whose pump_x,
-feed_c and transfer rates set the pump and feeding channels; cw_g2 is
-the only reader of pump_x and feed_c.  Energies in ueV, times in ps,
-rates in 1/ps.  The Liouvillian is diagonalized once per `cw_g2` call;
-the steady state and the two-time correlation (quantum regression)
-reuse the same eigendecomposition.
+cavity mode.  The device is a `coupled.SystemParams`, whose transfer rate
+sets the exciton -> cavity feeding channel; the pump is the resonant-CW
+`trajectory.PumpSchedule` that `trajectory.simulate_stream` takes, read
+as an incoherent exciton pump at cw_pump_rate and a Poissonian photon
+feed into the cavity at background_feed_rate (the incoherent-pump regime
+of Laussy, del Valle & Tejedor, PRL 101, 083601 (2008)).  Energies in
+ueV, times in ps, rates in 1/ps.  The Liouvillian is diagonalized once
+per `cw_g2` call; the steady state and the two-time correlation
+(quantum regression) reuse the same eigendecomposition.
 Dimensions are tiny (a handful of excitations), so dense linear algebra
 is the accuracy-first choice.
 """
@@ -14,6 +17,7 @@ import numpy as np
 
 from .coupled import SystemParams
 from .errors import ConvergenceError, CutoffError
+from .trajectory import PumpSchedule
 from .units import HBAR_UEV_PS
 
 _CUTOFF_TOL = 1e-6
@@ -51,28 +55,36 @@ def hamiltonian(model: SystemParams, ops: Operators) -> np.ndarray:
             + model.g * (ops.ad @ ops.sm + ops.sp @ ops.a))
 
 
-def jump_channels(model: SystemParams, ops: Operators) -> list[tuple[str, float, np.ndarray]]:
-    """(tag, rate 1/ps, operator) triples; zero-rate channels omitted."""
+def jump_channels(model: SystemParams, ops: Operators,
+                  pump: PumpSchedule | None = None
+                  ) -> list[tuple[str, float, np.ndarray]]:
+    """(tag, rate 1/ps, operator) triples; zero-rate channels omitted.
+    A pump, which must be resonant_cw (ValueError otherwise), adds the
+    exciton pump and the cavity feed."""
     channels = [
         ("C", model.gamma_c / HBAR_UEV_PS, ops.a),
         ("X", model.gamma_x / HBAR_UEV_PS, ops.sm),
     ]
-    if model.pump_x > 0:
-        channels.append(("pump", model.pump_x, ops.sp))
-    if model.feed_c > 0:
-        channels.append(("feed", model.feed_c, ops.ad))
+    if pump is not None:
+        if pump.mode != "resonant_cw":
+            raise ValueError("the master equation needs a resonant_cw "
+                             f"pump, got {pump.mode!r}")
+        channels.append(("pump", pump.cw_pump_rate, ops.sp))
+        if pump.background_feed_rate > 0:
+            channels.append(("feed", pump.background_feed_rate, ops.ad))
     if model.transfer > 0:
         channels.append(("transfer", model.transfer, ops.ad @ ops.sm))
     return channels
 
 
-def liouvillian(model: SystemParams, ops: Operators) -> np.ndarray:
+def liouvillian(model: SystemParams, ops: Operators,
+                pump: PumpSchedule | None = None) -> np.ndarray:
     """Dense Liouvillian on column-stacked density matrices, units 1/ps."""
     dim = ops.dim
     ident = np.eye(dim)
     h = hamiltonian(model, ops)
     lv = -1j / HBAR_UEV_PS * (np.kron(ident, h) - np.kron(h.T, ident))
-    for _, rate, c in jump_channels(model, ops):
+    for _, rate, c in jump_channels(model, ops, pump):
         cdc = c.conj().T @ c
         lv += rate * (np.kron(c.conj(), c)
                       - 0.5 * np.kron(ident, cdc)
@@ -88,20 +100,24 @@ def _channel_operator(ops: Operators, channel: str) -> np.ndarray:
     raise ValueError(f"unknown channel {channel!r}")
 
 
-def cw_g2(model: SystemParams, tau_grid, channel: str = "C",
-          n_max: int = 2) -> np.ndarray:
+def cw_g2(model: SystemParams, pump: PumpSchedule, tau_grid,
+          channel: str = "C", n_max: int = 2) -> np.ndarray:
     """Normalized g2(tau) of a channel's steady-state emission.
 
     Quantum regression on the steady state: g2(tau) =
     Tr[c^dag c e^{L tau}(c rho_ss c^dag)] / Tr[c^dag c rho_ss]^2.
-    Requires a pump (pump_x > 0) so a nontrivial steady state exists.
+    pump is a resonant_cw PumpSchedule, whose cw_pump_rate (> 0) gives
+    the nontrivial steady state; ValueError for any other mode.  tau_grid
+    is a 1-D array of delays in ps, each finite and >= 0 (g2 is even in
+    tau); ValueError otherwise.
     """
-    if model.pump_x <= 0:
-        raise ValueError("cw_g2 needs pump_x > 0 for a nontrivial steady state")
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if tau_grid.ndim != 1 or not (np.isfinite(tau_grid) & (tau_grid >= 0)).all():
+        raise ValueError("tau_grid must be a 1-D array of finite delays "
+                         ">= 0 ps")
     ops = Operators(n_max)
     c = _channel_operator(ops, channel)
-    evals, evecs = np.linalg.eig(liouvillian(model, ops))
+    evals, evecs = np.linalg.eig(liouvillian(model, ops, pump))
     # the steady state is the Liouvillian's null vector
     idx = np.argmin(np.abs(evals))
     if abs(evals[idx]) > 1e-8:

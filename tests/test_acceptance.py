@@ -9,7 +9,6 @@ lifetime, outside [695, 710].  Its test is expected to stay red rather
 than be loosened.
 """
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,9 +235,10 @@ def test_acceptance_10_recapture_raises_g2():
 
 def test_acceptance_11_cw_dip_width_and_jitter():
     # master-equation recovery time of the resonant exciton channel
-    model = replace(MODEL, pump_x=1e-4)
     tau = np.linspace(0.0, 120.0, 481)
-    g2 = lindblad.cw_g2(model, tau, channel="X")
+    g2 = lindblad.cw_g2(MODEL, PumpSchedule(mode="resonant_cw",
+                                            cw_pump_rate=1e-4),
+                        tau, channel="X")
     target = g2[-1] * (1.0 - 1.0 / np.e)
     recovery = float(tau[np.argmax(g2 >= target)])
 

@@ -112,10 +112,10 @@ BAD_CONFIGS = [
     pytest.param(("device", "gamma_c"), -85.0, "device", "gamma_c",
                  id="negative_gamma_c"),
     pytest.param(("device", "e_x"), 0.0, "device.e_x", "> 0", id="zero_e_x"),
-    # rates that no command reads from a config
-    pytest.param(("device", "pump_x"), 0.5, "device.pump_x", "no command",
+    # the pump is the pump section's, not the device's
+    pytest.param(("device", "pump_x"), 0.5, "device", "pump_x",
                  id="unread_pump_x"),
-    pytest.param(("device", "feed_c"), 0.2, "device.feed_c", "no command",
+    pytest.param(("device", "feed_c"), 0.2, "device", "feed_c",
                  id="unread_feed_c"),
     pytest.param(("device", "dephasing"), 5.0, "device", "dephasing",
                  id="removed_dephasing"),

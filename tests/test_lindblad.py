@@ -1,18 +1,22 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import oracles
-from cqedkit import coupled, lindblad
+from cqedkit import coupled, hbt, lindblad
 from cqedkit.coupled import SystemParams
 from cqedkit.errors import CutoffError
 from cqedkit.lindblad import Operators
+from cqedkit.trajectory import DetectorModel, PumpSchedule, simulate_stream
 from cqedkit.units import HBAR_UEV_PS
 
 GX = HBAR_UEV_PS / 700.0
 
 PAPER = SystemParams(e_x=0.0, e_c=0.0, g=35.0, gamma_x=GX, gamma_c=85.0)
+
+
+def cw(rate, feed=0.0):
+    return PumpSchedule(mode="resonant_cw", cw_pump_rate=rate,
+                        background_feed_rate=feed)
 
 
 def test_trace_preserved_and_hermitian():
@@ -86,28 +90,26 @@ def test_cutoff_convergence():
 
 
 def test_cutoff_overflow_detected():
-    strongly_fed = replace(PAPER, pump_x=1e-4, feed_c=0.5)
     with pytest.raises(CutoffError, match="population 7.93e-01"):
-        lindblad.cw_g2(strongly_fed, np.array([0.0]), n_max=1)
+        lindblad.cw_g2(PAPER, cw(1e-4, feed=0.5), np.array([0.0]), n_max=1)
 
 
 def test_cw_g2_two_level_channel_antibunched():
-    model = replace(PAPER, pump_x=1e-4)
     tau = np.array([0.0, 5.0, 2e4])
-    g2x = lindblad.cw_g2(model, tau, channel="X", n_max=2)
+    g2x = lindblad.cw_g2(PAPER, cw(1e-4), tau, channel="X", n_max=2)
     # a two-level emitter cannot hold two excitations: exact zero at tau=0
     assert g2x[0] == pytest.approx(0.0, abs=1e-10)
     assert g2x[-1] == pytest.approx(1.0, abs=1e-3)
-    g2c = lindblad.cw_g2(model, tau, channel="C", n_max=2)
+    g2c = lindblad.cw_g2(PAPER, cw(1e-4), tau, channel="C", n_max=2)
     assert g2c[0] < 0.5          # suppressed two-photon cavity output
     assert g2c[-1] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_cw_g2_poisson_feed_bunching():
     # incoherent cavity feeding builds a thermal photon state: g2(0) = 2
-    model = SystemParams(0.0, 0.0, g=0.0, gamma_x=GX, gamma_c=85.0,
-                         pump_x=1e-9, feed_c=1e-4)
-    g2 = lindblad.cw_g2(model, np.array([0.0]), channel="C", n_max=3)
+    model = SystemParams(0.0, 0.0, g=0.0, gamma_x=GX, gamma_c=85.0)
+    g2 = lindblad.cw_g2(model, cw(1e-9, feed=1e-4), np.array([0.0]),
+                        channel="C", n_max=3)
     assert g2[0] == pytest.approx(2.0, abs=0.02)
 
 
@@ -115,6 +117,39 @@ def test_invalid_model_rejected():
     with pytest.raises(ValueError):
         SystemParams(0.0, 0.0, g=35.0, gamma_x=-1.0, gamma_c=85.0)
     with pytest.raises(ValueError):
-        SystemParams(0.0, 0.0, g=35.0, gamma_x=GX, gamma_c=85.0, pump_x=-1e-3)
-    with pytest.raises(ValueError):
-        lindblad.cw_g2(PAPER, np.array([0.0]))  # no pump, no steady state
+        SystemParams(0.0, 0.0, g=35.0, gamma_x=GX, gamma_c=85.0, transfer=-1e-3)
+    with pytest.raises(ValueError, match="resonant_cw"):
+        lindblad.cw_g2(PAPER, PumpSchedule(), np.array([0.0]))  # pulsed
+
+
+@pytest.mark.parametrize("tau", [
+    pytest.param([-10.0], id="negative"),
+    pytest.param([0.0, -1e4], id="far_negative"),
+    pytest.param([float("nan")], id="nan"),
+    pytest.param([float("inf")], id="inf"),
+    pytest.param([[0.0, 10.0]], id="two_dimensional"),
+    pytest.param(0.0, id="scalar"),
+])
+def test_cw_g2_refuses_delays_outside_its_domain(tau):
+    with pytest.raises(ValueError, match="tau_grid"):
+        lindblad.cw_g2(PAPER, cw(1e-4), tau, channel="X")
+
+
+def test_cw_stream_and_master_equation_on_one_pump():
+    # The same pump drives both CW models.  Far from zero delay they agree;
+    # on the cavity channel at zero delay they do not: the stream's system
+    # lives in the single-excitation manifold, so it cannot be pumped while
+    # a photon is still in the cavity, and its g2_C(0) is 0 by
+    # construction, where the master equation's |g,1> -> |e,1> gives two
+    # photons.  A trajectory model with two excitations would close the gap.
+    pump = cw(1e-2)
+    s = simulate_stream(PAPER, pump, DetectorModel(), 4e6, seed=3)
+    h = hbt.correlate(s.filter("C"), window=120.0, bin_width=4.0,
+                      duration=s.duration)
+    stream, err = hbt.normalized_g2(h)
+    master = lindblad.cw_g2(PAPER, pump, np.abs(h.tau), channel="C", n_max=4)
+    far = np.flatnonzero(np.abs(h.tau) == 100.0)
+    assert np.all(np.abs(stream[far] - master[far]) < 3 * err[far])
+    zero = np.flatnonzero(h.tau == 0.0)[0]
+    assert stream[zero] == 0.0
+    assert master[zero] == pytest.approx(0.306, abs=0.005)
