@@ -12,8 +12,10 @@ nondecreasing, so the rows of each digit count are one block, found by
 searchsorted of the powers of ten in k.  Each row's last nine digits
 come from k % 10**9 and the rest from k // 10**9, both int32 (k <= 10 *
 2**53, so the quotient is below 10**8), as int32 divisions are cheaper
-than int64 ones.  Negative times, -0.0, times from 2**53 up and times
-that fall keep the f-string.
+than int64 ones.  The writer streams the rows to the file in blocks of
+trajectory._BLOCK rows, so its memory does not grow with the run; a
+block that holds a negative time, -0.0, a time from 2**53 up or times
+that fall keeps the f-string.
 
 The reader has two paths that check the header with one function.
 Rows that all read `ch,<1-15 digits>.<digit>`, with widths that never
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import MalformedFileError
 from .hbt import CorrelationHistogram
 from .specfit import Spectrum
-from .trajectory import ClickStream
+from .trajectory import _BLOCK, ClickStream
 
 CLICK_MAGIC = "#cqed-click-v1"
 CLICK_COLUMNS = "channel,time_ps"
@@ -99,24 +101,31 @@ def _click_rows(times: np.ndarray, channels: np.ndarray):
 
 
 def write_click_stream(path, stream: ClickStream) -> None:
-    """Write a click file; a channel that is not one of CLICK_CHANNELS,
-    which the reader refuses, raises ValueError before any file exists."""
+    """Write a click file, _BLOCK rows at a time; a channel that is not
+    one of CLICK_CHANNELS, which the reader refuses, raises ValueError
+    before any file exists."""
     codes = stream.channels.view("<u4")
-    known = np.zeros(len(codes), dtype=bool)
-    for ch in CLICK_CHANNELS:
-        known |= codes == ord(ch)
-    if not known.all():
-        raise ValueError(f"click channel {chr(codes[known.argmin()])!r} "
-                         f"is not one of {', '.join(CLICK_CHANNELS)}")
+    for start in range(0, len(codes), _BLOCK):
+        part = codes[start:start + _BLOCK]
+        known = np.zeros(len(part), dtype=bool)
+        for ch in CLICK_CHANNELS:
+            known |= part == ord(ch)
+        if not known.all():
+            raise ValueError(f"click channel {chr(part[known.argmin()])!r} "
+                             f"is not one of {', '.join(CLICK_CHANNELS)}")
     header = (f"{CLICK_MAGIC} seed={stream.seed} "
               f"duration_ps={stream.duration!r} "
               f"confighash={stream.config_hash}\n{CLICK_COLUMNS}\n")
-    rows = _click_rows(stream.times, stream.channels)
-    if rows is None:
-        rows = "".join([f"{ch},{t:.1f}\n" for ch, t in zip(
-            stream.channels.tolist(), stream.times.tolist())]).encode()
     with open(path, "wb") as fh:
-        fh.write(header.encode() + rows)
+        fh.write(header.encode())
+        for start in range(0, len(codes), _BLOCK):
+            times = stream.times[start:start + _BLOCK]
+            channels = stream.channels[start:start + _BLOCK]
+            rows = _click_rows(times, channels)
+            if rows is None:
+                rows = "".join([f"{ch},{t:.1f}\n" for ch, t in zip(
+                    channels.tolist(), times.tolist())]).encode()
+            fh.write(rows)
 
 
 def _line_error(path, lineno: int, what: str) -> MalformedFileError:

@@ -109,12 +109,16 @@ def cw_g2(model: SystemParams, pump: PumpSchedule, tau_grid,
     pump is a resonant_cw PumpSchedule, whose cw_pump_rate (> 0) gives
     the nontrivial steady state; ValueError for any other mode.  tau_grid
     is a 1-D array of delays in ps, each finite and >= 0 (g2 is even in
-    tau); ValueError otherwise.
+    tau); ValueError otherwise.  n_max, the Fock cutoff, is an integer
+    >= 0 (ValueError otherwise); one too small for the steady state
+    raises CutoffError.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or not (np.isfinite(tau_grid) & (tau_grid >= 0)).all():
         raise ValueError("tau_grid must be a 1-D array of finite delays "
                          ">= 0 ps")
+    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     ops = Operators(n_max)
     c = _channel_operator(ops, channel)
     evals, evecs = np.linalg.eig(liouvillian(model, ops, pump))

@@ -26,9 +26,10 @@ cell holds at most 2 table points on the detuned preset and 38 on the
 default device, where 4.8% of draws land in a cell of more than 4.
 A draw u starts from linear interpolation in log S across its table cell,
 then takes a Newton step on log S(t) - log u, clipped to that cell, and a
-second one only if the first moved it by more than 1e-3 ps; the draws go
-in blocks of 8,192, which keeps the temporaries small.  Everything is
-vectorized over pulses.
+second one only if the first moved it by more than 1e-3 ps.  The draws,
+and then the choice of each jump's channel, go in blocks of 8,192, which
+keeps the temporaries small; a run's detected clicks are merged by one
+stable sort of their times.  Everything is vectorized over pulses.
 
 Background emitters are a statistical Poisson feed into channel C, not
 Hilbert-space objects.  Detector effects (thinning, jitter, dead time,
@@ -277,23 +278,29 @@ class SingleExcitationPropagator:
                          ) -> tuple[np.ndarray, np.ndarray]:
         """Exact emission (delay_ps, channel) for n fresh excitations.
 
-        channel is 0 for C, 1 for X.  Transfer jumps are internal: the
-        photon continues in the cavity and exits through C after an
-        additional exponential delay.
+        channel is 0 for C, 1 for X, as int8.  Transfer jumps are
+        internal: the photon continues in the cavity and exits through C
+        after an additional exponential delay.  All n jump times come
+        first; then the channel choice goes in blocks of _BLOCK, one
+        rng.random call each, which draws the numbers one call for all n
+        would; then the transfers' delays.
         """
         t_jump = self.jump_times(np.clip(rng.random(n), _MIN_U, None))
-        alpha, beta = self.amplitudes(t_jump)
-        pop_a = np.abs(alpha) ** 2
-        w_x = self.rate_x * pop_a
-        w_c = self.rate_c * np.abs(beta) ** 2
-        w_t = self.rate_t * pop_a
-        total = w_x + w_c + w_t
-        r = rng.random(n) * total
-        channel = np.where(r < w_c, 0, 1)  # C else X for now
-        transferred = r >= w_c + w_x
-        if np.any(transferred):
+        channel = np.empty(n, dtype=np.int8)
+        transferred = np.empty(n, dtype=bool)
+        for start in range(0, n, _BLOCK):
+            part = slice(start, start + _BLOCK)
+            alpha, beta = self.amplitudes(t_jump[part])
+            pop_a = np.abs(alpha) ** 2
+            w_x = self.rate_x * pop_a
+            w_c = self.rate_c * np.abs(beta) ** 2
+            w_t = self.rate_t * pop_a
+            total = w_x + w_c + w_t
+            r = rng.random(len(total)) * total
+            channel[part] = r >= w_c  # C else X for now
+            transferred[part] = r >= w_c + w_x
+        if transferred.any():
             extra = rng.exponential(1.0 / self.rate_c, transferred.sum())
-            t_jump = t_jump.copy()
             t_jump[transferred] += extra
             channel[transferred] = 0
         return t_jump, channel
@@ -345,23 +352,21 @@ def _pulsed_emissions(model, pump, duration, rng):
     _check_poisson("pump.reservoir_mean", pump.reservoir_mean, n_pulses,
                    "pulses", "recaptures")
     prop = SingleExcitationPropagator(model)
-    pulse_t = np.arange(n_pulses) * pump.rep_period
 
-    excited = rng.random(n_pulses) < pump.excitation_prob
+    idx = np.flatnonzero(rng.random(n_pulses) < pump.excitation_prob)
+    # carriers left in each pulse's reservoir
     if pump.reservoir_mean > 0:
-        reservoir = rng.poisson(pump.reservoir_mean, n_pulses)
+        pending = rng.poisson(pump.reservoir_mean, n_pulses)
     else:
-        reservoir = np.zeros(n_pulses, dtype=int)
+        pending = np.zeros(n_pulses, dtype=int)
 
     times, channels = [], []
     # offset of the current excitation cycle within each pulse window
     offset = np.zeros(n_pulses)
-    pending = reservoir.copy()
-    idx = np.flatnonzero(excited)
     while True:
         if len(idx):
             delay, chan = prop.sample_emissions(rng, len(idx))
-            times.append(pulse_t[idx] + offset[idx] + delay)
+            times.append(idx * pump.rep_period + offset[idx] + delay)
             channels.append(chan)
             offset[idx] += delay
         # every pulse with carriers left captures one, then emits again
@@ -371,7 +376,7 @@ def _pulsed_emissions(model, pump, duration, rng):
         offset[idx] += rng.exponential(1.0 / (pending[idx] * pump.capture_rate))
         pending[idx] -= 1
     if not times:
-        return np.empty(0), np.empty(0, dtype=int)
+        return np.empty(0), np.empty(0, dtype=np.int8)
     return np.concatenate(times), np.concatenate(channels)
 
 
@@ -444,6 +449,8 @@ def simulate_stream(model: SystemParams, pump: PumpSchedule,
 
     c_times = emit_t[emit_ch == 0]
     x_times = emit_t[emit_ch == 1]
+    # free each run-long array once it is read, before the merge sorts
+    del emit_t, emit_ch
     if pump.background_feed_rate > 0:
         bg = _poisson_times(pump.background_feed_rate, duration, rng_bg)
         c_times = np.concatenate([c_times, bg])
@@ -455,15 +462,15 @@ def simulate_stream(model: SystemParams, pump: PumpSchedule,
     else:
         d_times = np.empty(0)
 
-    all_times = np.concatenate([c_times, x_times, d_times])
-    all_chan = np.concatenate([
-        np.full(len(c_times), "C"),
-        np.full(len(x_times), "X"),
-        np.full(len(d_times), "D"),
-    ])
-    order = np.lexsort((all_chan, all_times))
-    return ClickStream(all_times[order], all_chan[order], duration, seed,
-                       config_hash)
+    # a stable sort of the times in channel order C, D, X puts clicks at
+    # one time in that order
+    times = np.concatenate([c_times, d_times, x_times])
+    codes = np.repeat(np.array([ord("C"), ord("D"), ord("X")], np.uint32),
+                      [len(c_times), len(d_times), len(x_times)])
+    del c_times, d_times, x_times
+    order = np.argsort(times, kind="stable")
+    times, codes = times[order], codes[order]
+    return ClickStream(times, codes.view("<U1"), duration, seed, config_hash)
 
 
 def channel_rates(stream: ClickStream) -> dict[str, tuple[float, float]]:

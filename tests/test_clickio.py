@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cqedkit import clickio, hbt
 from cqedkit.specfit import Spectrum
-from cqedkit.trajectory import ClickStream
+from cqedkit.trajectory import _BLOCK, ClickStream
 
 
 def sample_stream():
@@ -55,6 +57,35 @@ def test_single_click_stream(tmp_path):
         clickio.write_click_stream(path, s)
         back = clickio.read_click_stream(path)
         assert len(back) == 1 and back.channels[0] == channel
+
+
+def test_bad_channel_in_a_later_block_writes_no_file(tmp_path):
+    channels = np.full(2 * _BLOCK + 3, "C")
+    channels[-2] = "Q"
+    s = ClickStream(times=np.arange(len(channels)) * 1.5, channels=channels,
+                    duration=1e9, seed=0, config_hash="00")
+    path = tmp_path / "clicks.csv"
+    with pytest.raises(ValueError, match="channel 'Q'"):
+        clickio.write_click_stream(path, s)
+    assert not path.exists()
+
+
+def test_click_writer_peak_memory_does_not_grow_with_the_run(tmp_path):
+    rng = np.random.default_rng(34)
+    rows = 400_000
+    s = ClickStream(times=np.sort(rng.uniform(0.0, 5.2e9, rows)),
+                    channels=rng.choice(np.array(["C", "X", "D"]), rows),
+                    duration=5.2e9, seed=1, config_hash="00")
+    path = tmp_path / "clicks.csv"
+    tracemalloc.start()
+    try:
+        clickio.write_click_stream(path, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file holds about 6 MB of rows
+    assert path.stat().st_size > 5_000_000
+    assert peak < 2_000_000, f"{peak / 1e6:.2f} MB"
 
 
 def test_histogram_file_layout(tmp_path):
@@ -277,6 +308,8 @@ def test_falling_times_keep_the_per_row_format():
     pytest.param([-2.5, -0.05, 0.0, 1.0], id="negative"),
     pytest.param([-0.0, 0.0, 0.25], id="negative_zero"),
     pytest.param([1.0, 2.0**53, 1e300], id="beyond_2_53"),
+    pytest.param([*np.arange(2 * _BLOCK) * 0.25, 2.0**53],
+                 id="beyond_2_53_after_two_blocks"),
 ])
 def test_times_outside_the_tenths_keep_the_per_row_format(tmp_path, times):
     times = np.array(times)

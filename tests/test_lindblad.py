@@ -135,6 +135,19 @@ def test_cw_g2_refuses_delays_outside_its_domain(tau):
         lindblad.cw_g2(PAPER, cw(1e-4), tau, channel="X")
 
 
+@pytest.mark.parametrize("n_max", [-1, 1.5, np.float64(2.0), "2"])
+def test_cw_g2_refuses_a_cutoff_that_is_not_a_count(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        lindblad.cw_g2(PAPER, cw(1e-4), [0.0], n_max=n_max)
+
+
+def test_cw_g2_cutoff_zero_is_a_cutoff_error():
+    with pytest.raises(CutoffError, match="n_max=0"):
+        lindblad.cw_g2(PAPER, cw(1e-4), [0.0], n_max=0)
+    g2 = lindblad.cw_g2(PAPER, cw(1e-4), [0.0], channel="X", n_max=np.int64(2))
+    assert g2[0] == pytest.approx(0.0, abs=1e-10)
+
+
 def test_cw_stream_and_master_equation_on_one_pump():
     # The same pump drives both CW models.  Far from zero delay they agree;
     # on the cavity channel at zero delay they do not: the stream's system

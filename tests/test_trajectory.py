@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -134,6 +135,74 @@ def test_guide_table_finds_the_searchsorted_cell(model):
                    0, len(table) - 2)
     assert np.array_equal(prop._table_cell(target), want)
     assert len(prop._guide) <= len(table)
+
+
+def _whole_array_emissions(prop, rng, n):
+    """Reference sampler: each step's draws for all n in one call."""
+    t_jump = prop.jump_times(np.clip(rng.random(n), trajectory._MIN_U, None))
+    alpha, beta = prop.amplitudes(t_jump)
+    pop_a = np.abs(alpha) ** 2
+    w_x = prop.rate_x * pop_a
+    w_c = prop.rate_c * np.abs(beta) ** 2
+    w_t = prop.rate_t * pop_a
+    total = w_x + w_c + w_t
+    r = rng.random(n) * total
+    channel = np.where(r < w_c, 0, 1)
+    transferred = r >= w_c + w_x
+    if np.any(transferred):
+        extra = rng.exponential(1.0 / prop.rate_c, transferred.sum())
+        t_jump = t_jump.copy()
+        t_jump[transferred] += extra
+        channel[transferred] = 0
+    return t_jump, channel
+
+
+@pytest.mark.parametrize("preset", ["default", "single-photon-detuned"])
+@pytest.mark.parametrize("n", [1, trajectory._BLOCK, 3 * trajectory._BLOCK + 5])
+def test_blockwise_channel_choice_equals_the_whole_array_one(preset, n):
+    prop = SingleExcitationPropagator(config.build_model(config.PRESETS[preset]))
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    t_jump, channel = prop.sample_emissions(rng, n)
+    ref_t, ref_channel = _whole_array_emissions(prop, ref_rng, n)
+    assert channel.dtype == np.int8
+    assert np.array_equal(t_jump, ref_t)
+    assert np.array_equal(channel, ref_channel)
+    # both drew the same count of numbers
+    assert rng.random() == ref_rng.random()
+    if n > 1:
+        assert set(channel.tolist()) == {0, 1}
+
+
+def test_clicks_at_one_time_come_out_in_channel_order(monkeypatch):
+    emit_t = np.array([5.0, 1.0, 5.0, 3.0, 1.0, 3.0, 7.0])
+    emit_ch = np.array([1, 0, 0, 1, 1, 0, 1], dtype=np.int8)
+    darks = np.array([3.0, 5.0, 0.5, 5.0, 1.0, 7.0])
+    monkeypatch.setattr(trajectory, "_pulsed_emissions",
+                        lambda *args: (emit_t, emit_ch))
+    monkeypatch.setattr(trajectory, "_poisson_times", lambda *args: darks)
+    s = simulate_stream(MODEL, PUMP, DetectorModel(dark_count_rate=1e-3),
+                        10.0, seed=0)
+    times = np.concatenate([emit_t, darks])
+    channels = np.array([*np.where(emit_ch == 0, "C", "X"), *"DDDDDD"])
+    order = np.lexsort((channels, times))
+    assert np.array_equal(s.times, times[order])
+    assert np.array_equal(s.channels, channels[order])
+
+
+def test_simulate_stream_peak_memory_per_pulse():
+    cfg = config.PRESETS["single-photon-detuned"]
+    model, pump = config.build_model(cfg), config.build_pump(cfg)
+    det = config.build_detectors(cfg)
+    pulses = 200_000
+    tracemalloc.start()
+    try:
+        stream = simulate_stream(model, pump, det, pulses * pump.rep_period,
+                                 seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stream) > pulses
+    assert peak < 100 * pulses, f"{peak / pulses:.1f} B per pulse"
 
 
 def test_branching_fractions_decoupled_limits():
